@@ -19,17 +19,33 @@ aggregated per engine into the JSON payload, and one session's full
 distributed trace (client + server spans, one linked tree) is exported
 to ``results/trace_sample.jsonl`` as a CI artifact.  Results go to
 ``results/BENCH_network.json`` and ``results/network_throughput.txt``.
+
+Resume flatness (``resume/`` in the JSON): a relay kills one 320x240
+session's connection once, after 10% or after 90% of its records, and
+the client resumes.  The stall from the last frame before the kill to
+the first frame after the reconnect is sampled ``RESUME_SAMPLES`` times
+per kill point (median and quartiles recorded).  A resume seeks to the
+client's record offset, so the stall must not grow with the offset: the
+10% median must be at least half the 90% median.
 """
 
 import asyncio
 import json
 import os
+import random
+import statistics
 import time
 
 import pytest
 
 from repro.core import ProfileCache, SchemeParameters
-from repro.net import AnnotationStreamServer, AsyncMobileClient
+from repro.net import (
+    AnnotationStreamServer,
+    AsyncMobileClient,
+    FaultSpec,
+    LossyTransport,
+    ServeConfig,
+)
 from repro.streaming import ClientCapabilities, MediaServer, SessionRequest
 from repro.telemetry import registry, span_events, spans_to_jsonl
 from repro.video import ArrayClip, make_clip
@@ -40,6 +56,11 @@ CLIP_NAME = "themovie"
 SESSIONS = 8
 QUALITY = 0.05
 ENGINES = ("perframe", "chunked")
+#: Resume flatness: kill points (fraction of the clip's records), the
+#: samples per point, and the PDA-sized frame they stream.
+RESUME_KILL_FRACTIONS = (0.1, 0.9)
+RESUME_SAMPLES = 7
+RESUME_RESOLUTION = (320, 240)
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +118,54 @@ def _latency_summary(results):
     }
 
 
+def _resume_stall_s(media, device, kill_after_records):
+    """One killed-and-resumed fetch; the reconnect stall in seconds."""
+    spec = FaultSpec(kill_after_records=kill_after_records, max_faults=1)
+
+    async def run():
+        async with AnnotationStreamServer(media, config=ServeConfig()) as server:
+            async with LossyTransport(*server.address, spec=spec) as relay:
+                client = AsyncMobileClient(
+                    device, max_retries=2, backoff_base_s=0.0,
+                    jitter_s=0.0, rng=random.Random(0),
+                )
+                return await client.fetch(*relay.address, CLIP_NAME, QUALITY)
+
+    result = asyncio.run(run())
+    assert result.resumes == 1, result.resumes
+    assert result.frame_count == media.get_clip(CLIP_NAME).frame_count
+    return result.latency.max_gap_s
+
+
+def _resume_flatness(device):
+    """Reconnect-to-first-frame at each kill point: median and IQR."""
+    clip = ArrayClip.from_clip(make_clip(CLIP_NAME, resolution=RESUME_RESOLUTION))
+    media = _make_server(clip, "chunked")
+    section = {
+        "resolution": list(clip.resolution),
+        "frames": clip.frame_count,
+        "samples": RESUME_SAMPLES,
+    }
+    for fraction in RESUME_KILL_FRACTIONS:
+        kill_after = int(fraction * clip.frame_count)
+        stalls_ms = [
+            1e3 * _resume_stall_s(media, device, kill_after)
+            for _ in range(RESUME_SAMPLES)
+        ]
+        q1, median, q3 = statistics.quantiles(stalls_ms, n=4)
+        section[f"kill_at_{round(fraction * 100)}pct"] = {
+            "kill_after_records": kill_after,
+            "reconnect_to_first_frame_ms": {
+                "median": median,
+                "q1": q1,
+                "q3": q3,
+                "iqr": q3 - q1,
+                "runs": stalls_ms,
+            },
+        }
+    return section
+
+
 def test_network_throughput(report, workload, device):
     clip = workload
     n = clip.frame_count
@@ -151,6 +220,8 @@ def test_network_throughput(report, workload, device):
         "slowdown_vs_uncapped": capped_elapsed / seconds["chunked"],
     }
 
+    resume = _resume_flatness(device)
+
     payload = {
         "benchmark": "network_throughput",
         "clip": clip.name,
@@ -170,6 +241,7 @@ def test_network_throughput(report, workload, device):
             for kind in ENGINES
         },
         "admission": admission,
+        "resume": resume,
     }
     os.makedirs(RESULTS_DIR, exist_ok=True)
     json_path = os.path.join(RESULTS_DIR, "BENCH_network.json")
@@ -215,6 +287,18 @@ def test_network_throughput(report, workload, device):
             f"{slo['deadline_misses']} deadline misses "
             f"({slo['deadline_miss_fraction']:.2%} of {slo['frames']} frames)"
         )
+    stall = {
+        point: resume[point]["reconnect_to_first_frame_ms"]
+        for point in ("kill_at_10pct", "kill_at_90pct")
+    }
+    lines.append(
+        f"resume @ {resume['resolution'][0]}x{resume['resolution'][1]}: "
+        + ", ".join(
+            f"{point} {row['median']:.1f} ms (IQR {row['iqr']:.1f})"
+            for point, row in stall.items()
+        )
+        + f" over {resume['samples']} samples each"
+    )
     lines.append(f"trace sample ({len(trace_spans)} spans) -> {trace_path}")
     lines.append(f"json -> {json_path}")
     report("network_throughput", lines)
@@ -255,6 +339,12 @@ def test_network_throughput(report, workload, device):
     )
     assert latency["chunked"]["ttff_mean_s"] <= 2.0 * latency["perframe"]["ttff_mean_s"], (
         latency
+    )
+
+    # Resume flatness: a reconnect late in the clip stalls no longer than
+    # one early in it (the seek compensates nothing the client holds).
+    assert stall["kill_at_10pct"]["median"] >= 0.5 * stall["kill_at_90pct"]["median"], (
+        stall
     )
 
 

@@ -46,8 +46,8 @@ class AmbientCondition:
     illuminance: float
 
     def __post_init__(self):
-        if self.illuminance < 0:
-            raise ValueError("illuminance must be non-negative")
+        if not 0 <= self.illuminance < float("inf"):
+            raise ValueError("illuminance must be finite and non-negative")
 
 
 DARK_ROOM = AmbientCondition("dark-room", 0.0)

@@ -571,8 +571,10 @@ class AsyncMobileClient:
 
         An applied ack updates the resume token (the server re-issues
         portable tokens embedding the switch plan) and the adaptive
-        state's authoritative quality/ambient; a rejected ack (no scene
-        boundary left) is recorded but changes nothing.
+        state's authoritative quality/ambient, and confirms the fields of
+        the outstanding request it matches — an unconfirmed request is
+        sent again after a resume; a rejected ack (no scene boundary
+        left) is recorded but changes nothing.
         """
         if info is None or info.is_request:
             raise WireFormatError("malformed requality message from server")
@@ -584,6 +586,17 @@ class AsyncMobileClient:
                 progress.adapt["quality"] = info.quality
             if info.ambient is not None:
                 progress.adapt["ambient"] = info.ambient
+            unacked = progress.adapt.get("unacked")
+            if unacked is not None:
+                # The ack may answer an earlier request than the latest;
+                # only the fields it matches are confirmed.
+                quality, ambient = unacked
+                if quality is not None and info.quality is not None \
+                        and abs(quality - info.quality) <= 1e-9:
+                    quality = None
+                if ambient == info.ambient:
+                    ambient = None
+                progress.adapt["unacked"] = (quality, ambient)
         record_event(
             "client_requality_ack", applied=bool(info.applied),
             frame=info.frame, quality=info.quality, ambient=info.ambient,
@@ -847,6 +860,10 @@ class BatteryClient(AsyncMobileClient):
             # only model its local sensor).
             state["ambient"] = DARK_ROOM.name
             state["crossed"] = 0
+            state["resumes"] = progress.resumes
+            # (quality, ambient) asked for but not yet confirmed by an
+            # applied ack; see _handle_requality_ack.
+            state["unacked"] = (None, None)
         t = progress.frames_seen / session.fps
         quality_req: Optional[float] = None
         if self.load_trace is not None:
@@ -872,8 +889,21 @@ class BatteryClient(AsyncMobileClient):
                     cond.name if cond.name in AMBIENT_BY_NAME
                     else f"{cond.illuminance:g}"
                 )
+        unacked_quality, unacked_ambient = state["unacked"]
+        if progress.resumes != state["resumes"]:
+            # A request the server had not yet applied died with the old
+            # connection; the resumed session starts without it.
+            state["resumes"] = progress.resumes
+            if quality_req is None:
+                quality_req = unacked_quality
+            if ambient_req is None:
+                ambient_req = unacked_ambient
         if quality_req is None and ambient_req is None:
             return None
+        state["unacked"] = (
+            unacked_quality if quality_req is None else quality_req,
+            unacked_ambient if ambient_req is None else ambient_req,
+        )
         return quality_req, ambient_req
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Set, Tuple
 
 from ..streaming.network import Link
 from ..telemetry import registry as telemetry_registry
@@ -138,6 +138,9 @@ class LossyTransport:
         self._port = port
         self._server: Optional[asyncio.base_events.Server] = None
         self._rng = random.Random(spec.seed)
+        # Live relay handlers; close() cancels and awaits them.
+        self._tasks: Set["asyncio.Task"] = set()
+        self._closing = False
         self._faults_injected = 0
         self._faults_counter = telemetry_registry().counter(
             "repro_net_faults_injected_total",
@@ -159,6 +162,7 @@ class LossyTransport:
 
     async def start(self) -> Tuple[str, int]:
         """Bind the relay socket; returns the client-facing address."""
+        self._closing = False
         self._server = await asyncio.start_server(
             self._handle, host=self.host, port=self._port
         )
@@ -166,9 +170,14 @@ class LossyTransport:
         return self.address
 
     async def close(self) -> None:
-        """Stop accepting and tear the relay down."""
+        """Stop accepting and tear the relay down, live relays included."""
         if self._server is not None:
             self._server.close()
+            self._closing = True
+            tasks = list(self._tasks)
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
 
@@ -264,6 +273,19 @@ class LossyTransport:
             forwarded += 1
 
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._tasks.add(task)
+        try:
+            await self._relay(reader, writer)
+        except asyncio.CancelledError:
+            if not self._closing:
+                raise
+            # close() cancelled this relay: end it as a finished task, so
+            # the stream server's done-callback has no error to report.
+        finally:
+            self._tasks.discard(task)
+
+    async def _relay(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         try:
             up_reader, up_writer = await asyncio.open_connection(
                 self.upstream_host, self.upstream_port

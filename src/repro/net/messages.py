@@ -51,10 +51,12 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import math
 import secrets
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from ..display.ambient import as_ambient_trace
 from ..streaming.packets import MediaPacket, PacketType, control_packet
 from ..streaming.session import (
     ClientCapabilities,
@@ -669,13 +671,24 @@ def encode_portable_token(
     return f"{PORTABLE_TOKEN_PREFIX}.{encoded}.{secrets.token_hex(8)}"
 
 
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite number {value!r}")
+    return number
+
+
 def decode_portable_token(token: str) -> Optional[PortableTokenInfo]:
     """Parse a portable resume token; ``None`` for anything else.
 
     Opaque random tokens, truncated or tampered portable tokens, and
     tokens from future format versions all return ``None`` — the caller
     falls back to its local resume registry (and ultimately to a
-    fresh-fetch rejection), never raises.
+    fresh-fetch rejection), never raises.  The embedded switch plan is
+    checked here, because a resumed producer trusts it: frames must be
+    non-negative integers in strictly increasing order, qualities
+    finite, and every ambient spec must parse.  (Whether the frames lie
+    inside the clip is up to the server adopting the token.)
     """
     parts = token.split(".")
     if len(parts) != 3 or parts[0] != PORTABLE_TOKEN_PREFIX:
@@ -684,19 +697,26 @@ def decode_portable_token(token: str) -> Optional[PortableTokenInfo]:
     try:
         padded = encoded + "=" * (-len(encoded) % 4)
         obj = json.loads(base64.urlsafe_b64decode(padded.encode("ascii")))
+        if not isinstance(obj, dict):
+            return None
         switches = []
+        last = -1
         for entry in obj.get("s", []):
             frame, q, ambient = entry
-            switches.append((
-                int(frame), float(q),
-                None if ambient is None else str(ambient),
-            ))
+            if (isinstance(frame, bool) or not isinstance(frame, int)
+                    or frame <= last):
+                return None
+            if ambient is not None:
+                ambient = str(ambient)
+                as_ambient_trace(ambient)  # ValueError when malformed
+            switches.append((frame, _finite(q), ambient))
+            last = frame
         return PortableTokenInfo(
             clip_name=str(obj["c"]),
-            quality=float(obj["q"]),
+            quality=_finite(obj["q"]),
             device_name=str(obj["d"]),
             switches=tuple(switches),
         )
     except (ValueError, KeyError, TypeError, binascii.Error,
-            UnicodeDecodeError):
+            UnicodeDecodeError, RecursionError):
         return None

@@ -40,8 +40,9 @@ Operational resilience on top of the happy path:
   the connection drops mid-stream, the server remembers the session for
   ``resume_window_s``; a client reconnecting with ``resume`` + the count
   of data records it already holds continues from exactly that offset.
-  Streams are deterministic, so a resumed stream is bit-identical to an
-  uninterrupted one.
+  Streams are deterministic, so the server seeks to that record instead
+  of regenerating the prefix, and a resumed stream is bit-identical to
+  an uninterrupted one.
 * **Graceful drain** — :meth:`drain` flips the server to *draining*
   (new hellos are shed with ``busy``), lets in-flight sessions finish
   within a deadline, cancels stragglers, then closes the socket.
@@ -149,9 +150,9 @@ class _ResumeState:
     """Server-side memory of an interrupted (or in-flight) session.
 
     ``plan`` records the session's applied mid-stream ``requality``
-    switches, oldest first; a resume replays them at exactly their
-    recorded frames so the regenerated stream is byte-identical to the
-    adapted original.
+    switches, oldest first; a resume starts under the switches behind
+    its offset and replays the rest at exactly their recorded frames,
+    so the resumed stream is byte-identical to the adapted original.
     """
 
     session: SessionDescription
@@ -580,16 +581,23 @@ class AnnotationStreamServer:
         session replays the issuing server's stream byte-identically.
         This is the fleet failover path: when a shard dies, the router
         replays its clients' portable tokens against a replica shard.
-        Returns None when the token is malformed or names a clip/device
-        this catalog cannot serve.
+        Returns None when the token is malformed, names a clip/device
+        this catalog cannot serve, or carries a switch plan this server
+        would never have produced: a frame at or past the clip's end
+        (which also bounds the plan's length) or an unprepared quality.
         """
         if not self.portable_tokens:
             return None
         info = decode_portable_token(token)
         if info is None:
             return None
+        media = self.media_server
         try:
-            session = self.media_server.open_session(info.to_request())
+            frame_count = media.get_clip(info.clip_name).frame_count
+            if any(frame >= frame_count or quality not in media.qualities
+                   for frame, quality, _ in info.switches):
+                return None
+            session = media.open_session(info.to_request())
         except NegotiationError:
             return None
         with self._resume_lock:
@@ -742,8 +750,8 @@ class AnnotationStreamServer:
         cancelled: threading.Event,
         loop: asyncio.AbstractEventLoop,
         wakeup: asyncio.Event,
-        skip: int = 0,
-        adaptation: Optional[AdaptationControl] = None,
+        skip: int,
+        adaptation: AdaptationControl,
     ) -> None:
         """Producer thread: encode the stream into coalesced wire batches.
 
@@ -764,13 +772,21 @@ class AnnotationStreamServer:
         thread on ``put`` without holding a compute slot hostage.
         Enqueueing blocks when the queue is full (backpressure), so
         compensation never runs further ahead of the socket than
-        ``queue_depth`` batches.  ``skip`` suppresses emission of the
-        first N data records (resume: the client already holds them)
-        while still counting them, so the ``end`` totals always describe
-        the complete stream.  Only *data* records (annotation + frame)
-        are counted or skipped — in-stream control packets (requality
-        acks) always reach the current connection and never perturb the
-        resume offset or the ``end`` totals.
+        ``queue_depth`` batches.
+
+        ``skip`` is a resume offset: the client already holds the first
+        ``skip`` data records.  Past the head, the stream *seeks*:
+        :meth:`~repro.streaming.server.MediaServer.resume_point` maps the
+        offset through the session's switch plan to a frame, the plan
+        entries behind it move to the control's applied list, and
+        emission starts there under the binding in force — nothing the
+        client holds is compensated again.  The counts start at the
+        resume point, so the ``end`` totals still describe the complete
+        stream.  An offset inside the head re-emits the stream from the
+        top and drops the records already held.  Only *data* records
+        (annotation + frame) are counted or skipped — in-stream control
+        packets (requality acks) always reach the current connection and
+        never perturb the resume offset or the ``end`` totals.
         """
         packet_count = 0
         frame_count = 0
@@ -813,8 +829,16 @@ class AnnotationStreamServer:
             with trace("net.produce") as span:
                 if span is not None:
                     span.set_tag("session_id", session.session_id)
+                point = self.media_server.resume_point(
+                    session, skip, adaptation.switch_plan()
+                )
+                start = None
+                if point is not None:
+                    adaptation.fast_forward(point.switches)
+                    packet_count, frame_count = point.records, point.frame
+                    start = point.frame
                 groups = self.media_server.stream_batches(
-                    session, adaptation=adaptation
+                    session, adaptation=adaptation, start=start
                 )
                 while True:
                     with self._compute_slots:

@@ -22,7 +22,7 @@ from .session import (
     SessionRequest,
     snap_quality,
 )
-from .server import AdaptationControl, MediaServer
+from .server import AdaptationControl, MediaServer, ResumePoint
 from .archive import load_archive, save_archive
 from .middleware import (
     AdaptationEvent,
@@ -55,6 +55,7 @@ __all__ = [
     "snap_quality",
     "AdaptationControl",
     "MediaServer",
+    "ResumePoint",
     "save_archive",
     "load_archive",
     "PowerHint",

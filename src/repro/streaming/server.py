@@ -14,7 +14,9 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import deque
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..core.annotation import AnnotationTrack
 from ..core.dvfs_annotation import DvfsAnnotator, DvfsTrack
@@ -62,6 +64,20 @@ WIRE_CHUNK_FRAMES = 32
 Switch = Tuple[int, float, Optional[str]]
 
 
+class ResumePoint(NamedTuple):
+    """Where a resumed session restarts emission (:meth:`MediaServer.resume_point`).
+
+    ``frame`` is the first frame to emit, ``records`` the number of data
+    records (head, frames, re-bind annotations) that precede it in the
+    uninterrupted stream, and ``switches`` how many switch-plan entries
+    lie wholly behind it, re-bind annotation included.
+    """
+
+    frame: int
+    records: int
+    switches: int
+
+
 class AdaptationControl:
     """Mid-stream adaptation mailbox between a session's control reader
     and its producer.
@@ -71,9 +87,10 @@ class AdaptationControl:
     down twice between scene boundaries lands on the final target); the
     producer polls with :meth:`poll_request` between chunks and applies
     the switch at the next scene boundary.  ``plan`` seeds *scheduled*
-    switches for resume replay: a session adopted from a portable token
-    replays each recorded switch at exactly its recorded frame, so the
-    regenerated stream is byte-identical to the original.
+    switches for resume replay: a resumed session moves the entries
+    behind its resume point into :attr:`applied`
+    (:meth:`fast_forward`) and replays each remaining switch at exactly
+    its recorded frame, so the resumed stream is byte-identical.
 
     ``ack_builder``/``reject_builder`` are set by the transport layer
     (the streaming layer cannot import :mod:`repro.net`): they build the
@@ -129,6 +146,17 @@ class AdaptationControl:
             while self._plan and self._plan[0][0] < pos:
                 self._plan.popleft()
             return self._plan[0] if self._plan else None
+
+    def fast_forward(self, count: int) -> None:
+        """Mark the first ``count`` plan entries as applied, without replay.
+
+        A resume that seeks past a planned switch never re-emits it, but
+        the switch is still part of the session: the binding in force,
+        later acks and re-issued tokens must all carry it.
+        """
+        with self._lock:
+            for _ in range(count):
+                self._applied.append(self._plan.popleft())
 
     def switch_applied(self, frame: int, quality: float,
                        ambient: Optional[str], live: bool) -> List[MediaPacket]:
@@ -432,6 +460,19 @@ class MediaServer:
             profile=self._profiles.get(session.clip_name),
         )
 
+    def _head_records(self, clip_name: str) -> int:
+        """Data records in a stream's head: the annotation, plus DVFS."""
+        has_dvfs = (
+            self.dvfs_annotator is not None or clip_name in self._dvfs_tracks
+        )
+        return 2 if has_dvfs else 1
+
+    def _wire_sizes(self, clip_name: str):
+        """Per-frame encoded sizes when the server models a codec."""
+        if self.codec is None:
+            return None
+        return self.encoded_clip(clip_name).frame_bytes
+
     def _stream_setup(self, session: SessionDescription):
         """Shared stream preamble: ``(annotated, head_packets, seq, wire_sizes)``.
 
@@ -443,20 +484,46 @@ class MediaServer:
             annotated = self.build_stream(session)
         self._streams_counter.inc()
         head = [annotation_packet(0, annotated.track.to_bytes())]
-        seq = 1
-        has_dvfs = (
-            self.dvfs_annotator is not None
-            or session.clip_name in self._dvfs_tracks
-        )
-        if has_dvfs:
+        seq = self._head_records(session.clip_name)
+        if seq > 1:
             head.append(
-                annotation_packet(seq, self.dvfs_track(session.clip_name).to_bytes())
+                annotation_packet(1, self.dvfs_track(session.clip_name).to_bytes())
             )
-            seq += 1
-        wire_sizes = None
-        if self.codec is not None:
-            wire_sizes = self.encoded_clip(session.clip_name).frame_bytes
-        return annotated, head, seq, wire_sizes
+        return annotated, head, seq, self._wire_sizes(session.clip_name)
+
+    def resume_point(
+        self,
+        session: SessionDescription,
+        offset: int,
+        plan: Sequence[Switch] = (),
+    ) -> Optional[ResumePoint]:
+        """Map a resume offset (data records held) to where emission restarts.
+
+        A session's data records are its head (1 record, 2 with a DVFS
+        track), then frames ``[0, f1)``, the re-bind annotation at
+        ``f1``, frames ``[f1, f2)`` and so on for each ``(f, quality,
+        ambient)`` entry of ``plan`` (strictly increasing frames, as
+        resume tokens guarantee; entries at or past the clip's end never
+        apply).  Returns ``None`` when the offset falls inside the head,
+        which must then be re-emitted and filtered.  An offset past the
+        end maps to the end, with ``records`` the full stream's total.
+        """
+        records = self._head_records(session.clip_name)
+        if offset < records:
+            return None
+        frame_count = self.get_clip(session.clip_name).frame_count
+        frame = passed = 0
+        for boundary, _, _ in plan:
+            if boundary >= frame_count or offset < records + boundary - frame:
+                break
+            records += boundary - frame
+            frame = boundary
+            if offset == records:  # the re-bind annotation is next
+                return ResumePoint(frame, records, passed)
+            records += 1
+            passed += 1
+        more = min(offset - records, frame_count - frame)
+        return ResumePoint(frame + more, records + more, passed)
 
     def stream(self, session: SessionDescription) -> Iterator[MediaPacket]:
         """Emit the session's packets: annotation first, then frames.
@@ -499,6 +566,8 @@ class MediaServer:
         lead_chunk_frames: Optional[int] = LEAD_CHUNK_FRAMES,
         wire_chunk_frames: Optional[int] = WIRE_CHUNK_FRAMES,
         adaptation: Optional[AdaptationControl] = None,
+        *,
+        start: Optional[int] = None,
     ) -> Iterator[List[MediaPacket]]:
         """Emit the session's packets as wire-oriented batches.
 
@@ -525,6 +594,14 @@ class MediaServer:
         binding.  Frame sequence numbers continue unbroken
         (``seq_base + frame_index``), and nothing is replayed.
 
+        ``start`` resumes emission at that frame with no head: the
+        session binds once, to the binding in force there — the last
+        switch in ``adaptation.applied`` (see
+        :meth:`AdaptationControl.fast_forward` and :meth:`resume_point`),
+        else the opening one — and the lead chunk starts at ``start``.
+        Every record from there on is byte-identical to the same record
+        of the uninterrupted stream.
+
         **Aliasing contract**: chunked batches compensate into a reused
         arena buffer, so a batch's frame payloads are only valid until
         the generator is advanced — consumers must fully encode/copy a
@@ -532,93 +609,70 @@ class MediaServer:
         each packet into its coalesced send buffer immediately, so this
         holds by construction there.)
         """
-        annotated, head, seq, wire_sizes = self._stream_setup(session)
-        yield head
-        if adaptation is not None:
-            yield from self._stream_batches_adaptive(
-                session, annotated, seq, wire_sizes,
-                lead_chunk_frames, wire_chunk_frames, adaptation,
-            )
-            return
-        if resolve_engine(self.engine).kind == "perframe":
-            batch: List[MediaPacket] = []
-            for packet in self._emit_perframe(annotated, seq, wire_sizes):
-                batch.append(packet)
-                if len(batch) >= PERFRAME_BATCH_RECORDS:
-                    yield batch
-                    batch = []
-            if batch:
-                yield batch
-            return
-        produced = 0
-        try:
-            for chunk in annotated.iter_chunks(
-                chunk_size=wire_chunk_frames,
-                lead=lead_chunk_frames,
-                reuse_output=True,
-            ):
-                self._frames_streamed_counter.inc(len(chunk))
-                batch = []
-                for k in range(len(chunk)):
-                    i = chunk.start + k
-                    wire = int(wire_sizes[i]) if wire_sizes is not None else None
-                    batch.append(
-                        frame_packet(
-                            seq + i, chunk.frame(k), frame_index=i, wire_bytes=wire
-                        )
-                    )
-                yield batch
-                produced = chunk.stop
-        except HeterogeneousFrameError:
-            batch = []
-            for packet in self._emit_perframe(
-                annotated, seq, wire_sizes, start=produced
-            ):
-                batch.append(packet)
-                if len(batch) >= PERFRAME_BATCH_RECORDS:
-                    yield batch
-                    batch = []
-            if batch:
-                yield batch
+        if adaptation is None:
+            adaptation = AdaptationControl()
+        if start is None:
+            annotated, head, seq, wire_sizes = self._stream_setup(session)
+            yield head
+            start = 0
+        else:
+            annotated = None  # bound lazily, to the binding in force
+            self._streams_counter.inc()
+            seq = self._head_records(session.clip_name)
+            wire_sizes = self._wire_sizes(session.clip_name)
+        yield from self._emit_batches(
+            session, annotated, start, seq, wire_sizes,
+            lead_chunk_frames, wire_chunk_frames, adaptation,
+        )
 
-    def _stream_batches_adaptive(
+    def _emit_batches(
         self,
         session: SessionDescription,
-        annotated: AnnotatedStream,
+        stream: Optional[AnnotatedStream],
+        start: int,
         seq_base: int,
         wire_sizes,
         lead_chunk_frames: Optional[int],
         wire_chunk_frames: Optional[int],
         adaptation: AdaptationControl,
     ) -> Iterator[List[MediaPacket]]:
-        """The adaptation-aware emission loop behind :meth:`stream_batches`.
+        """The frame-emission loop behind :meth:`stream_batches`.
 
-        Emits segments of the current binding's stream, polling the
-        control for live requests between chunks and for scheduled
-        (resume-replay) switches between segments.  A switch truncates
-        the in-flight chunk at the boundary frame (chunk re-slicing is
-        bit-safe), re-binds via :meth:`build_stream`, and emits
-        ``[ack?, annotation]`` before the next segment — so the
+        Emits segments of the current binding's stream from ``start``,
+        polling the control for live requests between chunks and for
+        scheduled (resume-replay) switches between segments.  A switch
+        truncates the in-flight chunk at the boundary frame (chunk
+        re-slicing is bit-safe), re-binds via :meth:`build_stream`, and
+        emits ``[ack?, annotation]`` before the next segment — so the
         post-switch frames and annotation bytes match a fresh fetch at
-        the new binding exactly.
+        the new binding exactly.  ``stream`` is ``None`` on a resume: it
+        is bound on first use, to the last applied switch's binding.
         """
-        frame_count = annotated.frame_count
-        stream = annotated
-        quality = session.quality
-        ambient: Optional[str] = None
-        pos = 0
+        frame_count = self.get_clip(session.clip_name).frame_count
+        applied = adaptation.applied
+        quality = applied[-1][1] if applied else session.quality
+        ambient: Optional[str] = applied[-1][2] if applied else None
+        pos = start
         lead = lead_chunk_frames
         # (frame, quality, ambient, live) once a switch is scheduled.
         pending: Optional[Tuple[int, float, Optional[str], bool]] = None
         use_perframe = resolve_engine(self.engine).kind == "perframe"
 
-        def resolve_request(req, at: int):
-            new_quality = (
-                quality if req[0] is None
-                else snap_quality(req[0], self.qualities)
+        def retarget(req, base_quality, base_ambient):
+            """A live request's binding; unset fields keep the base's."""
+            return (
+                base_quality if req[0] is None
+                else snap_quality(req[0], self.qualities),
+                base_ambient if req[1] is None else str(req[1]),
             )
-            new_ambient = ambient if req[1] is None else str(req[1])
-            return (stream.next_scene_start(at), new_quality, new_ambient, True)
+
+        def resolve_request(req, at: int):
+            # Strictly after the last applied switch: a request polled
+            # right at that boundary must not re-bind it a second time.
+            done = adaptation.applied
+            after = done[-1][0] + 1 if done else 0
+            boundary = stream.next_scene_start(max(at, after))
+            return (boundary, *retarget(req, quality, ambient), True)
 
         while pos < frame_count:
             if pending is None:
@@ -626,9 +680,13 @@ class MediaServer:
                 if planned is not None:
                     pending = (planned[0], planned[1], planned[2], False)
             emitted_to = pos
-            if pending is not None and pending[0] <= pos:
-                pass  # switch due right here — no frames to produce first
-            elif not use_perframe:
+            due = pending is not None and pending[0] <= pos
+            if not due and stream is None:
+                with trace("server.stream"):
+                    stream = self.build_stream(
+                        session, quality=quality, ambient=ambient
+                    )
+            if not due and not use_perframe:
                 try:
                     for chunk in stream.iter_chunks(
                         chunk_size=wire_chunk_frames,
@@ -667,7 +725,7 @@ class MediaServer:
                         emitted_to = frame_count
                 except HeterogeneousFrameError:
                     use_perframe = True
-            if use_perframe and not (pending is not None and pending[0] <= pos):
+            if not due and use_perframe:
                 batch = []
                 i = emitted_to
                 while i < frame_count:
@@ -692,6 +750,14 @@ class MediaServer:
                 emitted_to = i
             pos = emitted_to
             if pending is not None and pending[0] <= pos < frame_count:
+                if pending[3]:
+                    # Latest wins up to the boundary itself: a request
+                    # that arrived after this switch was scheduled
+                    # retargets it instead of waiting a whole scene.
+                    req = adaptation.poll_request()
+                    if req is not None:
+                        pending = (pending[0], *retarget(req, *pending[1:3]),
+                                   True)
                 boundary, quality, ambient, live = pending
                 with trace("server.rebind"):
                     stream = self.build_stream(

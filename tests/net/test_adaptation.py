@@ -14,7 +14,13 @@ and replays nothing.  Covered here:
 * end to end: post-switch frames byte-identical to a fresh fetch at the
   target binding, with no reconnect — through a direct socket, through
   :class:`LossyTransport` (reconnect-with-resume replays the switch
-  plan), and across a fleet shard.
+  plan), and across a fleet shard;
+* resume seeks: a resume at any data-record offset starts emission
+  there, under the binding in force, byte-identical to the
+  uninterrupted stream — and the plan a re-issued token carries stays
+  complete after a seek;
+* hostile tokens: decoding never raises and never yields an unordered
+  plan; adoption rejects plans this server could not have produced.
 
 Live switches need the producer paced against the client (otherwise a
 tiny clip is fully produced before the request arrives):
@@ -23,12 +29,17 @@ production to the client's reads record by record.
 """
 
 import asyncio
+import base64
+import json
 import random
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import DvfsAnnotator
 from repro.net import (
     AnnotationStreamServer,
     AsyncMobileClient,
@@ -45,10 +56,25 @@ from repro.net import (
     encode_requality_ack,
 )
 from repro.net.client import _FetchProgress
+from repro.net.codec import encode_packet_bytes, read_packet
+from repro.net.messages import encode_resume
+from repro.player import DecoderModel
 from repro.power import Battery
-from repro.streaming import AdaptationControl, MediaServer, PacketType
+from repro.streaming import (
+    AdaptationControl,
+    ClientCapabilities,
+    MediaServer,
+    PacketType,
+    SessionRequest,
+)
 from repro.telemetry import flight_events, registry
-from repro.video import LazyClip, SceneSpec, ScriptedClipFactory
+from repro.video import (
+    ArrayClip,
+    LazyClip,
+    SceneSpec,
+    ScriptedClipFactory,
+    VideoClip,
+)
 
 DEVICE_NAME = "ipaq5555"
 CLIP = "adaptclip"
@@ -285,6 +311,28 @@ class TestBatteryClientModel:
         progress.frames_seen = 60
         assert client._advise(progress) is None
 
+    def test_resume_resends_an_unacknowledged_request(self, device):
+        # A request still unapplied when the connection dies is gone on
+        # the server; the client asks again on the resumed connection.
+        client = _battery_client(device)
+        progress = _progress(quality=0.0)
+        progress.frames_seen = 60
+        assert client._advise(progress) == (TARGET_QUALITY, None)
+        # An ack for an earlier, smaller step does not confirm it ...
+        client._handle_requality_ack(decode_control(
+            encode_requality_ack(True, 45, quality=0.1, seq=0)
+        ).requality, progress)
+        progress.frames_seen = 61
+        assert client._advise(progress) is None
+        # ... so a resume re-sends it, once.
+        progress.resumes += 1
+        assert client._advise(progress) == (TARGET_QUALITY, None)
+        client._handle_requality_ack(decode_control(
+            encode_requality_ack(True, 57, quality=TARGET_QUALITY, seq=0)
+        ).requality, progress)
+        progress.resumes += 1
+        assert client._advise(progress) is None
+
     def test_ambient_change_requests_rebind_once(self, device):
         client = BatteryClient(device, ambient_trace="0:dark-room,1:office")
         progress = _progress()
@@ -454,3 +502,324 @@ def test_requality_across_fleet_shard(device):
     applied = [r for r in adaptive.requalities if r.applied]
     assert applied and applied[-1].quality == TARGET_QUALITY
     _assert_post_switch_identical(adaptive, reference, applied[-1].frame)
+
+
+# ---------------------------------------------------------------------------
+# resume seeks to the client's record offset
+
+#: Resume-matrix setups: plain, with a switch plan, a two-record DVFS
+#: head, the per-frame engine, and a clip that mixes frame resolutions.
+SEEK_SETUPS = ("static", "plan", "dvfs", "perframe", "mixed")
+
+#: Wire server for seek tests: portable tokens so a forged token can
+#: carry a switch plan.
+ADOPTING = ServeConfig(portable_tokens=True)
+
+
+@pytest.fixture(scope="module")
+def adaptive_pixels():
+    """The adaptive clip rendered once, ``(FRAMES, 36, 48, 3)`` uint8."""
+    return ArrayClip.from_clip(_adaptive_clip()).pixels
+
+
+def _seek_clip(setup, pixels):
+    if setup != "mixed":
+        return ArrayClip(pixels, fps=FPS, name=CLIP)
+    # The second half at a smaller resolution: chunked emission falls
+    # back to per-frame compensation there.
+    frames = [pixels[i] for i in range(FRAMES // 2)]
+    frames += [pixels[i, :30, :40] for i in range(FRAMES // 2, FRAMES)]
+    return VideoClip([f.copy() for f in frames], fps=FPS, name=CLIP)
+
+
+def _seek_setup(setup, pixels):
+    """``(media, plan)`` for one resume-matrix setup."""
+    if setup == "dvfs":
+        media = MediaServer(dvfs_annotator=DvfsAnnotator(
+            decoder=DecoderModel(reference_pixels=48 * 36)
+        ))
+    elif setup == "perframe":
+        media = MediaServer(engine="perframe")
+    else:
+        media = MediaServer()
+    media.add_clip(_seek_clip(setup, pixels))
+    if setup == "static":
+        return media, ()
+    stream = media.build_stream(media.open_session(_seek_request()))
+    first = stream.next_scene_start(1)
+    third = stream.next_scene_start(stream.next_scene_start(first + 1) + 1)
+    return media, ((first, TARGET_QUALITY, None), (third, 0.1, "office"))
+
+
+def _seek_request():
+    return SessionRequest(CLIP, 0.0, ClientCapabilities(DEVICE_NAME))
+
+
+def _data_records(batches):
+    """Wire bytes of every data record (each encoded before advancing)."""
+    return [
+        encode_packet_bytes(p)
+        for batch in batches for p in batch
+        if p.ptype is not PacketType.CONTROL
+    ]
+
+
+@pytest.mark.parametrize("setup", SEEK_SETUPS)
+def test_seek_matches_uninterrupted_stream_at_every_offset(setup,
+                                                           adaptive_pixels):
+    """In process, at every offset: ``resume_point`` + ``fast_forward``
+    + ``stream_batches(start=)`` emit exactly the uninterrupted stream's
+    remaining data records, and the plan ends complete."""
+    media, plan = _seek_setup(setup, adaptive_pixels)
+    session = media.open_session(_seek_request())
+    full = _data_records(
+        media.stream_batches(session, adaptation=AdaptationControl(plan))
+    )
+    head = 2 if setup == "dvfs" else 1
+    assert len(full) == head + FRAMES + len(plan)
+    for offset in range(len(full) + 3):
+        point = media.resume_point(session, offset, plan)
+        if offset < head:
+            assert point is None, offset
+            continue
+        assert point.records == min(offset, len(full)), offset
+        control = AdaptationControl(plan)
+        control.fast_forward(point.switches)
+        got = _data_records(media.stream_batches(
+            session, adaptation=control, start=point.frame
+        ))
+        assert got == full[point.records:], offset
+        assert control.switch_plan() == plan, offset
+
+
+async def _resume_records(address, token, offset, requality=None):
+    """Resume ``token`` at ``offset`` over a raw socket.
+
+    Returns ``(data record bytes, end info, requality acks)``; a
+    ``requality`` request, when given, rides in the same write as the
+    resume, so it reaches the server before the stream's first frame.
+    """
+    reader, writer = await asyncio.open_connection(*address)
+    try:
+        payload = encode_packet_bytes(encode_resume(token, offset))
+        if requality is not None:
+            payload += encode_packet_bytes(encode_requality(quality=requality))
+        writer.write(payload)
+        await writer.drain()
+        opened = decode_control(
+            await asyncio.wait_for(read_packet(reader), timeout=10.0)
+        )
+        assert opened.kind == "session", opened
+        assert opened.resumed_at == offset
+        records, acks = [], []
+        while True:
+            packet = await asyncio.wait_for(read_packet(reader), timeout=10.0)
+            assert packet is not None, "stream ended without an end message"
+            if packet.ptype is not PacketType.CONTROL:
+                records.append(encode_packet_bytes(packet))
+                continue
+            message = decode_control(packet)
+            if message.kind == "end":
+                return records, message.end, acks
+            if message.kind == "requality":
+                acks.append(message.requality)
+    finally:
+        writer.close()
+
+
+def _seek_offsets(total, head, rebind_records):
+    """0, inside/just past the head, around each re-bind annotation
+    record, the last frame, the end and past it."""
+    offsets = {0, head - 1, head, total - 1, total, total + 4}
+    for record in rebind_records:
+        offsets |= {record - 1, record, record + 1}
+    return sorted(o for o in offsets if o >= 0)
+
+
+@pytest.mark.parametrize("setup", SEEK_SETUPS)
+def test_resume_offset_byte_identity_on_the_wire(setup, adaptive_pixels):
+    """The wire resume matrix: every listed offset resumes onto exactly
+    the uninterrupted stream's remaining records, with full-stream
+    ``end`` totals — nothing the client holds is sent again."""
+    media, plan = _seek_setup(setup, adaptive_pixels)
+    token = encode_portable_token(CLIP, 0.0, DEVICE_NAME, switches=plan)
+    head = 2 if setup == "dvfs" else 1
+    session = media.open_session(_seek_request())
+    kinds = [
+        p.ptype for batch in media.stream_batches(
+            session, adaptation=AdaptationControl(plan)
+        ) for p in batch
+    ]
+    rebinds = [i for i, kind in enumerate(kinds)
+               if i >= head and kind is PacketType.ANNOTATION]
+    assert len(rebinds) == len(plan)
+
+    async def run():
+        async with AnnotationStreamServer(media, config=ADOPTING) as server:
+            full, end, _ = await _resume_records(server.address, token, 0)
+            results = {}
+            for offset in _seek_offsets(len(full), head, rebinds):
+                results[offset] = await _resume_records(
+                    server.address, token, offset
+                )
+            return full, end, results
+
+    full, end, results = asyncio.run(run())
+    assert (end.packet_count, end.frame_count) == (len(full), FRAMES)
+    assert len(full) == len(kinds)
+    for offset, (records, resumed_end, _) in results.items():
+        assert records == full[offset:], offset
+        assert resumed_end == end, offset
+
+
+def test_second_resume_after_seek_keeps_the_plan_complete(adaptive_pixels):
+    """A live switch applied after a seek re-issues a token whose plan
+    still holds the switch the seek passed over, so a second resume — on
+    a replica that adopts the token — replays the same bytes."""
+    media, plan = _seek_setup("plan", adaptive_pixels)
+    first_switch = plan[:1]
+    token = encode_portable_token(
+        CLIP, 0.0, DEVICE_NAME, switches=first_switch
+    )
+    offset = 1 + first_switch[0][0] + 1 + 3  # head, frames, re-bind, 3 more
+
+    async def run():
+        async with AnnotationStreamServer(media, config=PACED) as server:
+            records, end, acks = await _resume_records(
+                server.address, token, offset, requality=0.05
+            )
+        applied = [ack for ack in acks if ack.applied]
+        assert len(applied) == 1, acks
+        reissued = applied[0].token
+        async with AnnotationStreamServer(_media(), config=ADOPTING) as replica:
+            full, full_end, _ = await _resume_records(
+                replica.address, reissued, 0
+            )
+            second = full_end.packet_count - 7  # past both re-binds
+            tail, tail_end, _ = await _resume_records(
+                replica.address, reissued, second
+            )
+        return records, end, applied[0], full, full_end, second, tail, tail_end
+
+    records, end, ack, full, full_end, second, tail, tail_end = asyncio.run(run())
+    switches = decode_portable_token(ack.token).switches
+    assert switches == first_switch + ((ack.frame, 0.05, None),)
+    assert first_switch[0][0] < ack.frame < second - 3
+    # The first resume already matched the plan the token now records.
+    assert records == full[offset:]
+    assert end == full_end
+    assert tail == full[second:]
+    assert tail_end == full_end
+
+
+def test_two_requests_straddling_a_boundary_rebind_once_each():
+    """A request polled right after a switch at boundary ``b`` lands on
+    the next boundary after ``b`` — never a second re-bind at ``b``."""
+    media = _media()
+    session = media.open_session(_seek_request())
+    control = AdaptationControl()
+    annotations = []
+    frames = 0
+    for batch in media.stream_batches(session, adaptation=control):
+        for packet in batch:
+            if packet.ptype is PacketType.ANNOTATION:
+                annotations.append(packet.seq)
+            elif packet.ptype is PacketType.FRAME:
+                frames += 1
+        if frames and len(annotations) == 1:
+            control.request(quality=TARGET_QUALITY)  # before the boundary
+        elif len(annotations) == 2 and len(control.applied) == 1:
+            control.request(quality=0.1)  # right after the switch
+    boundaries = [frame for frame, _, _ in control.applied]
+    assert len(boundaries) == 2
+    assert boundaries[0] < boundaries[1]
+    assert annotations[1:] == [1 + b for b in boundaries]
+    assert frames == FRAMES
+
+
+# ---------------------------------------------------------------------------
+# hostile portable tokens
+
+
+def _forged(body):
+    raw = json.dumps(body).encode("utf-8")
+    encoded = base64.urlsafe_b64encode(raw).decode("ascii").rstrip("=")
+    return f"p1.{encoded}.00"
+
+
+_json_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 200),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=8),
+)
+_json = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from("cqds"), inner, max_size=4),
+    max_leaves=12,
+)
+_entry = st.one_of(
+    st.tuples(st.integers(-3, 200), st.floats(allow_nan=True),
+              st.one_of(st.none(), st.sampled_from(
+                  ["office", "0:dark-room,1:office", "bogus", "-1", "nan", ""]
+              ))).map(list),
+    _json,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    token=st.one_of(
+        st.text(max_size=40),
+        st.builds(lambda body: _forged(body), _json),
+        st.builds(
+            lambda plan: _forged({"c": CLIP, "q": 0.0, "d": DEVICE_NAME,
+                                  "s": plan}),
+            st.one_of(st.lists(_entry, max_size=6), _json),
+        ),
+    )
+)
+def test_decode_portable_token_never_raises_or_disorders(token):
+    info = decode_portable_token(token)
+    if info is None:
+        return
+    frames = [frame for frame, _, _ in info.switches]
+    assert all(isinstance(frame, int) and frame >= 0 for frame in frames)
+    assert all(b > a for a, b in zip(frames, frames[1:]))
+    assert all(np.isfinite(q) for _, q, _ in info.switches)
+
+
+@pytest.mark.parametrize("plan", [
+    ((24, 0.2, None), (24, 0.1, None)),  # repeated frame
+    ((36, 0.2, None), (24, 0.1, None)),  # out of order
+    ((-1, 0.2, None),),                  # negative
+    ((24, 0.2, "no-such-light"),),       # ambient spec does not parse
+    ((24, float("nan"), None),),         # non-finite quality
+])
+def test_decode_rejects_malformed_plans(plan):
+    token = _forged({"c": CLIP, "q": 0.0, "d": DEVICE_NAME,
+                     "s": [list(entry) for entry in plan]})
+    assert decode_portable_token(token) is None
+
+
+@pytest.mark.parametrize("plan", [
+    ((FRAMES, 0.2, None),),   # at the clip's end: could never apply
+    ((24, 0.37, None),),      # not a prepared quality
+])
+def test_adoption_rejects_plans_this_server_never_issues(plan):
+    token = encode_portable_token(CLIP, 0.0, DEVICE_NAME, switches=plan)
+    assert decode_portable_token(token) is not None
+
+    async def run():
+        async with AnnotationStreamServer(_media(), config=ADOPTING) as server:
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(encode_packet_bytes(encode_resume(token, 0)))
+            await writer.drain()
+            reply = decode_control(
+                await asyncio.wait_for(read_packet(reader), timeout=5.0)
+            )
+            writer.close()
+            return reply
+
+    reply = asyncio.run(run())
+    assert reply.kind == "error"
+    assert "resume token" in reply.error

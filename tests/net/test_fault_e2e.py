@@ -210,3 +210,44 @@ class TestFaultSpec:
         transport = LossyTransport("127.0.0.1", 1)
         with pytest.raises(RuntimeError):
             transport.address
+
+
+def _relay_tasks():
+    """Unfinished tasks running a LossyTransport coroutine."""
+    return [
+        task for task in asyncio.all_tasks()
+        if not task.done()
+        and "LossyTransport." in getattr(task.get_coro(), "__qualname__", "")
+    ]
+
+
+def test_close_leaves_no_relay_task_pending():
+    """``close()`` cancels and awaits every live relay, so none outlives
+    the transport (no "Task was destroyed but it is pending" at exit)."""
+
+    async def run():
+        async def silent(reader, writer):  # an upstream that never answers
+            await reader.read()
+            writer.close()
+
+        upstream = await asyncio.start_server(silent, "127.0.0.1", 0)
+        lossy = LossyTransport("127.0.0.1", upstream.sockets[0].getsockname()[1])
+        await lossy.start()
+        reader, writer = await asyncio.open_connection(*lossy.address)
+        writer.write(b"hello")
+        await writer.drain()
+        for _ in range(200):
+            if len(_relay_tasks()) >= 2:  # handler + uplink pump are live
+                break
+            await asyncio.sleep(0.01)
+        live = len(_relay_tasks())
+        await asyncio.wait_for(lossy.close(), timeout=5.0)
+        left = _relay_tasks()
+        writer.close()
+        upstream.close()
+        await upstream.wait_closed()
+        return live, left
+
+    live, left = asyncio.run(run())
+    assert live >= 2
+    assert left == []
