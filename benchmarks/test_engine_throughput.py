@@ -1,12 +1,13 @@
-"""Execution-engine throughput: per-frame vs chunked vs chunked+threads.
+"""Execution-engine throughput: per-frame vs chunked.
 
 Times the full profile -> clip -> compensate hot path on a >= 300-frame
 synthetic clip, in frames/sec per engine.  The per-frame leg reproduces
 the seed behaviour exactly: profile one Frame at a time, compensate each
 frame for playback, then compensate every frame *again* for the quality
-metric (the double pass the chunked engine eliminates).  The chunked legs
-produce bit-identical pixels and metrics, which the test asserts before
-trusting the speedup.
+metric (the double pass the chunked engine eliminates).  The chunked leg
+produces bit-identical pixels and metrics — also with short chunks, which
+spread over the engine's thread pool on a multi-core host — and the test
+asserts that before trusting the speedup.
 
 Acceptance: chunked >= 3x the per-frame path.  Results go to
 ``results/BENCH_engine.json`` (machine-readable) and
@@ -108,7 +109,7 @@ def test_engine_throughput(report, device, workload):
 
     # Correctness first: every engine must produce identical output.
     ref_frames, ref_quality = perframe_leg(clip, device, params)
-    for engine in (None, EngineConfig(kind="threads", chunk_size=64)):
+    for engine in (None, EngineConfig(chunk_size=64)):
         batches, quality = chunked_leg(clip, device, params, engine=engine)
         assert quality == ref_quality
         stacked = np.concatenate(batches)
@@ -118,9 +119,6 @@ def test_engine_throughput(report, device, workload):
     legs = {
         "perframe": lambda: perframe_leg(clip, device, params),
         "chunked": lambda: chunked_leg(clip, device, params),
-        "chunked_threads": lambda: chunked_leg(
-            clip, device, params, engine=EngineConfig(kind="threads")
-        ),
     }
     seconds = best_times_interleaved(legs)
     fps = {name: n / s for name, s in seconds.items()}
@@ -218,7 +216,3 @@ def test_engine_throughput(report, device, workload):
     # The fused LUT compensate must beat the float64 kernel it replaced
     # by a wide margin — it's the wire path's compute headroom.
     assert lut_speedup >= 1.5, compensate_seconds
-    # The persistent shared pool means threads never pays executor setup
-    # per pass; with one effective worker it runs the chunks inline, so it
-    # must match chunked to within timing noise instead of trailing it.
-    assert speedup["chunked_threads"] >= 0.95 * speedup["chunked"], speedup

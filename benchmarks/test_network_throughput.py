@@ -85,9 +85,8 @@ def _make_server(clip, engine):
     return server
 
 
-async def _fetch_fleet(media, device, sessions, **server_kwargs):
-    server_kwargs.setdefault("queue_depth", 32)
-    async with AnnotationStreamServer(media, **server_kwargs) as server:
+async def _fetch_fleet(media, device, sessions, config=ServeConfig(queue_depth=32)):
+    async with AnnotationStreamServer(media, config=config) as server:
         clients = [AsyncMobileClient(device) for _ in range(sessions)]
         start = time.perf_counter()
         results = await asyncio.gather(*[
@@ -204,10 +203,12 @@ def test_network_throughput(report, workload, device):
     # bounded concurrency cost relative to the uncapped run above.
     media = _make_server(clip, "chunked")
     capped_results, capped_elapsed = asyncio.run(_fetch_fleet(
-        media, device, SESSIONS,
-        max_sessions=max(2, SESSIONS // 4),
-        accept_queue=SESSIONS,
-        accept_timeout_s=120.0,
+        media, device, SESSIONS, ServeConfig(
+            queue_depth=32,
+            max_sessions=max(2, SESSIONS // 4),
+            accept_queue=SESSIONS,
+            accept_timeout_s=120.0,
+        ),
     ))
     assert sum(r.frame_count for r in capped_results) == SESSIONS * n
     assert all(r.attempts == 1 for r in capped_results)

@@ -59,13 +59,22 @@ LOWER_IS_BETTER = {"overhead_fraction"}
 #: it only applies when the fresh file's value at ``condition_path`` is
 #: >= ``min``.  The fleet speedup claim needs real parallelism, so its
 #: gate is conditioned on the pinned ``cpus`` field — a single-core host
-#: records the ratio but is not held to it.
+#: records the ratio but is not held to it.  A lower-is-better pair is
+#: written loser-first: ``(a, b, 0.5)`` reads "b <= 2 x a".
 COMPARATIVE_GATES = {
     "BENCH_network.json": [
         ("engines/chunked/sessions_per_sec",
          "engines/perframe/sessions_per_sec", 0.95),
         ("engines/chunked/frames_per_sec",
          "engines/perframe/frames_per_sec", 0.95),
+        # Fleet-wide real-time delivery: every engine, and the capped
+        # admission run, moves at least 24 frames/s per session.
+        ("engines/perframe/frames_per_sec", "sessions", 24.0),
+        ("engines/chunked/frames_per_sec", "sessions", 24.0),
+        ("admission/frames_per_sec", "sessions", 24.0),
+        # The chunked engine's first frame arrives within 2x perframe's.
+        ("engines/perframe/latency/ttff_mean_s",
+         "engines/chunked/latency/ttff_mean_s", 0.5),
         # Resume flatness: a resume seeks to the client's record offset,
         # so the reconnect stall after a kill at 10% of the clip is not
         # dwarfed by the one after a kill at 90%.
@@ -82,6 +91,17 @@ COMPARATIVE_GATES = {
 #: hard acceptance claims (a fleet that loses sessions on failover is
 #: broken no matter what the committed baseline says).
 ABSOLUTE_FLOORS = {
+    "BENCH_serving.json": [
+        ("engines/chunked/speedup_vs_perframe", 2.0),
+    ],
+    "BENCH_engine.json": [
+        # The fused LUT compensate kernel against the float64 kernel it
+        # replaced: the wire path's compute headroom.
+        ("compensate_only/lut_speedup_vs_float", 1.5),
+    ],
+    "BENCH_network.json": [
+        ("sessions", 8),
+    ],
     "BENCH_fleet.json": [
         ("chaos/recovered_session_rate", 0.99),
     ],

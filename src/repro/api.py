@@ -28,9 +28,7 @@ same code path.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import threading
-import warnings
 from typing import List, Optional, Sequence, Tuple
 
 from .core.annotation import AnnotationTrack, DeviceAnnotationTrack
@@ -70,31 +68,6 @@ __all__ = [
     "server_stats_sync",
 ]
 
-#: Keyword names accepted by the legacy per-call fetch spelling.
-_LEGACY_FETCH_KWARGS = frozenset(
-    f.name for f in dataclasses.fields(FetchOptions)
-)
-
-
-def _resolve_fetch_options(options, legacy_kwargs) -> FetchOptions:
-    """Fold deprecated loose fetch kwargs into a :class:`FetchOptions`."""
-    if legacy_kwargs:
-        unknown = set(legacy_kwargs) - _LEGACY_FETCH_KWARGS
-        if unknown:
-            raise TypeError(
-                "unknown fetch parameter(s): " + ", ".join(sorted(unknown))
-            )
-        warnings.warn(
-            "passing fetch knobs as loose keyword arguments is deprecated; "
-            "build a repro.FetchOptions and pass it as options=",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        options = (options if options is not None else FetchOptions()).replace(
-            **legacy_kwargs
-        )
-    return options if options is not None else FetchOptions()
-
 #: Process-wide default engine, set by :func:`configure_engine`.
 _default_engine: EngineSpec = None
 _default_engine_lock = threading.Lock()
@@ -103,25 +76,18 @@ _default_engine_lock = threading.Lock()
 def configure_engine(
     engine: EngineSpec = None,
     chunk_size: Optional[int] = None,
-    max_workers: Optional[int] = None,
 ) -> EngineSpec:
     """Set the process-wide default execution engine; returns the previous.
 
-    ``engine`` is a kind name (``"perframe"``, ``"chunked"``,
-    ``"threads"``, ``"processes"``), an
+    ``engine`` is a kind name (``"perframe"``, ``"chunked"``), an
     :class:`~repro.core.engine.EngineConfig`, or ``None`` to reset to the
-    library default.  ``chunk_size`` / ``max_workers`` refine a kind name
-    into a full config.  Every facade service (and the CLI) resolves
-    ``engine=None`` against this default.
+    library default.  ``chunk_size`` refines a kind name into a full
+    config.  Every facade service (and the CLI) resolves ``engine=None``
+    against this default.
     """
     global _default_engine
-    if engine is not None and (chunk_size is not None or max_workers is not None):
-        resolved = resolve_engine(engine)
-        engine = EngineConfig(
-            kind=resolved.kind,
-            chunk_size=chunk_size if chunk_size is not None else resolved.chunk_size,
-            max_workers=max_workers if max_workers is not None else resolved.max_workers,
-        )
+    if engine is not None and chunk_size is not None:
+        engine = EngineConfig(kind=resolve_engine(engine).kind, chunk_size=chunk_size)
     elif engine is not None:
         resolve_engine(engine)  # validate eagerly
     with _default_engine_lock:
@@ -371,7 +337,6 @@ class StreamingService:
         host: str = "127.0.0.1",
         port: int = 0,
         config: Optional[ServeConfig] = None,
-        **legacy_kwargs,
     ):
         """Build an (unstarted) asyncio TCP server for this catalog.
 
@@ -387,11 +352,6 @@ class StreamingService:
             The serving policy, a :class:`ServeConfig` (admission,
             resume, drain, batching, compute slots).  ``None`` uses the
             defaults.
-        **legacy_kwargs:
-            Deprecated: any :class:`ServeConfig` field passed as a
-            loose keyword (``queue_depth=...``, ``max_sessions=...``,
-            ...).  Folded into ``config`` with a
-            :class:`DeprecationWarning`.
 
         Returns
         -------
@@ -401,38 +361,37 @@ class StreamingService:
         from .net.server import AnnotationStreamServer
 
         return AnnotationStreamServer(
-            self.server, host=host, port=port, config=config, **legacy_kwargs
+            self.server, host=host, port=port, config=config
         )
 
     async def fetch(
         self, host: str, port: int, clip_name: str, quality: float, device,
-        options: Optional[FetchOptions] = None, **legacy_kwargs,
+        options: Optional[FetchOptions] = None,
     ):
         """Fetch ``clip_name`` at ``quality`` for ``device`` from the wire
         server at ``host``:``port`` (async, with retries); ``options``
-        is the :class:`FetchOptions` policy (``legacy_kwargs`` are the
-        deprecated loose spelling of its fields)."""
+        is the :class:`FetchOptions` policy."""
         return await fetch_stream(
             host, port, clip_name, quality, device,
-            options=options, **legacy_kwargs,
+            options=options,
         )
 
     def fetch_sync(
         self, host: str, port: int, clip_name: str, quality: float, device,
-        options: Optional[FetchOptions] = None, **legacy_kwargs,
+        options: Optional[FetchOptions] = None,
     ):
         """Blocking wrapper over :meth:`fetch` for sync callers: same
         ``host`` / ``port`` / ``clip_name`` / ``quality`` / ``device`` /
-        ``options`` / ``legacy_kwargs`` arguments and return value."""
+        ``options`` arguments and return value."""
         return fetch_stream_sync(
             host, port, clip_name, quality, device,
-            options=options, **legacy_kwargs,
+            options=options,
         )
 
 
 async def fetch_stream(
     host: str, port: int, clip_name: str, quality: float, device,
-    options: Optional[FetchOptions] = None, **legacy_kwargs,
+    options: Optional[FetchOptions] = None,
 ):
     """Fetch one annotated stream from any wire server (async, retries).
 
@@ -443,31 +402,29 @@ async def fetch_stream(
     server at ``host``:``port``.  ``device`` is a profile object or
     registry name; ``options`` is a :class:`FetchOptions` (timeouts,
     retry policy, resume, circuit breaker; ``None`` uses the defaults).
-    ``legacy_kwargs`` — :class:`FetchOptions` fields passed as loose
-    keywords — still work but are deprecated.  Returns a
-    :class:`~repro.net.client.FetchResult`.
+    Returns a :class:`~repro.net.client.FetchResult`.
     """
-    opts = _resolve_fetch_options(options, legacy_kwargs)
+    opts = options if options is not None else FetchOptions()
     client = opts.client(_resolve_device(device))
     return await client.fetch(host, port, clip_name, quality)
 
 
 def fetch_stream_sync(
     host: str, port: int, clip_name: str, quality: float, device,
-    options: Optional[FetchOptions] = None, **legacy_kwargs,
+    options: Optional[FetchOptions] = None,
 ):
     """Blocking wrapper over :func:`fetch_stream` for sync callers.
 
     Takes the same arguments as :func:`fetch_stream` — ``host``,
-    ``port``, ``clip_name``, ``quality``, ``device``, ``options``, and
-    any ``legacy_kwargs`` — and returns the same
+    ``port``, ``clip_name``, ``quality``, ``device`` and ``options`` —
+    and returns the same
     :class:`~repro.net.client.FetchResult`; raises whatever the
     underlying fetch raises.
     """
     return asyncio.run(
         fetch_stream(
             host, port, clip_name, quality, device,
-            options=options, **legacy_kwargs,
+            options=options,
         )
     )
 

@@ -191,12 +191,10 @@ class StreamAnalyzer:
     ----------
     engine:
         Execution engine: ``None`` (default, chunked), an engine kind name
-        (``"perframe"``, ``"chunked"``, ``"threads"``, ``"processes"``) or
-        a full :class:`~repro.core.engine.EngineConfig`.  Every engine
-        produces bit-identical statistics; clips that mix frame
-        resolutions fall back to the per-frame path automatically, and
-        ``"processes"`` degrades to chunked where process pools are
-        unavailable.
+        (``"perframe"``, ``"chunked"``) or a full
+        :class:`~repro.core.engine.EngineConfig`.  Both engines produce
+        bit-identical statistics; clips that mix frame resolutions fall
+        back to the per-frame path automatically.
     """
 
     def __init__(self, engine: EngineSpec = None):
@@ -206,15 +204,6 @@ class StreamAnalyzer:
         """Profile every frame of a clip."""
         if self.engine.kind == "perframe":
             return self.analyze_perframe(clip)
-        if self.engine.kind == "processes":
-            from .procpool import ProcessEngineUnavailable, analyze_clip_processes
-
-            try:
-                return analyze_clip_processes(clip, self.engine)
-            except HeterogeneousFrameError:
-                return self.analyze_perframe(clip)
-            except ProcessEngineUnavailable:
-                pass  # degrade to the inline chunked path below
         try:
             chunked = map_chunks(
                 self.engine,

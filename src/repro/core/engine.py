@@ -1,6 +1,6 @@
 """Execution-engine selection for the profile→clip→compensate hot path.
 
-The annotation pipeline can walk a clip four ways:
+The annotation pipeline can walk a clip two ways:
 
 * ``"perframe"`` — the paper-literal scalar loop: one :class:`Frame` at a
   time.  Kept as the reference implementation and as the fallback for
@@ -8,30 +8,23 @@ The annotation pipeline can walk a clip four ways:
 * ``"chunked"`` — the default: ``(N, H, W, 3)`` uint8 batches flow through
   vectorized luminance/histogram kernels
   (:func:`~repro.core.analyzer.chunk_frame_stats`).  Bit-identical to the
-  per-frame path, several times faster.
-* ``"threads"`` — chunked, with chunks fanned out over a *persistent*
-  ``ThreadPoolExecutor`` shared by every pass in the process.  The numpy
-  kernels release the GIL, so on multi-core servers this scales the
-  profiling pass with core count; with a single effective worker the
-  chunks run inline, so it degrades *exactly* to ``"chunked"`` throughput
-  instead of paying pool overhead for nothing.
-* ``"processes"`` — chunked, with chunk batches fanned out over a
-  persistent ``ProcessPoolExecutor`` and the pixel planes shipped through
-  ``multiprocessing.shared_memory`` (see :mod:`repro.core.procpool`).
-  Sidesteps the GIL entirely for CPU-bound profiling of large catalogs;
-  falls back to ``"chunked"`` wherever process pools are unavailable.
+  per-frame path, several times faster.  A pass with more than one
+  chunk on a host with more than one core spreads its chunks over one
+  persistent, process-wide ``ThreadPoolExecutor`` (the numpy kernels
+  release the GIL); a single-chunk pass, or any pass on one core, runs
+  inline in the calling thread.
 
-All four produce byte-for-byte identical :class:`FrameStats`, so engine
+Both produce byte-for-byte identical :class:`FrameStats`, so engine
 choice is purely a throughput knob — the property tests in
 ``tests/core/test_engine.py`` and
 ``tests/streaming/test_serving_equivalence.py`` hold the engines to that
 contract.
 
-Worker pools are created lazily at first use and then *reused for the
-lifetime of the process* — re-creating an executor per pass is exactly
-the regression that made ``threads`` slower than ``chunked`` in early
-benchmarks.  :func:`shutdown_pools` tears them down (tests, forking
-servers).
+The thread pool is created lazily at first use and then *reused for the
+lifetime of the process* — re-creating an executor per pass costs more
+than the fan-out saves.  :func:`shutdown_pools` tears it down (tests);
+a forked child drops the pool it inherited (its worker threads did not
+survive the fork) and creates its own on first use.
 
 Chunk sizing is autotuned from frame geometry by default
 (:func:`~repro.video.chunks.autotune_chunk_size`): small frames get long
@@ -42,18 +35,21 @@ set near a fixed byte budget.  Pass an explicit ``chunk_size`` to pin it.
 from __future__ import annotations
 
 import atexit
+import itertools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from collections.abc import Sized
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar, Union
+from typing import Callable, Deque, Iterable, List, Optional, Tuple, TypeVar, Union
 
 from .. import telemetry
 from ..video.chunks import DEFAULT_CHUNK_SIZE, autotune_chunk_size
 
 #: Engine names accepted wherever an ``engine=`` knob is exposed.
-ENGINE_KINDS = ("perframe", "chunked", "threads", "processes")
+ENGINE_KINDS = ("perframe", "chunked")
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -68,17 +64,13 @@ class EngineConfig:
     kind:
         One of :data:`ENGINE_KINDS`.
     chunk_size:
-        Frames per batch for the chunked engines.  ``None`` (the default)
+        Frames per batch for the chunked engine.  ``None`` (the default)
         autotunes the span from frame geometry via
         :meth:`resolved_chunk_size`.
-    max_workers:
-        Worker count for ``"threads"`` / ``"processes"`` (``None`` uses
-        the CPU count).
     """
 
     kind: str = "chunked"
     chunk_size: Optional[int] = None
-    max_workers: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in ENGINE_KINDS:
@@ -87,8 +79,6 @@ class EngineConfig:
             )
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
 
     # ------------------------------------------------------------------
     def resolved_chunk_size(self, frame_shape: Optional[Tuple[int, int]] = None) -> int:
@@ -105,12 +95,6 @@ class EngineConfig:
         if frame_shape is None:
             return DEFAULT_CHUNK_SIZE
         return autotune_chunk_size(int(frame_shape[0]), int(frame_shape[1]))
-
-    def resolved_workers(self) -> int:
-        """Effective worker count for the pooled engines."""
-        if self.max_workers is not None:
-            return self.max_workers
-        return max(1, os.cpu_count() or 1)
 
 
 #: Anything an ``engine=`` knob accepts: a kind name, a full config, or
@@ -132,148 +116,120 @@ def resolve_engine(spec: EngineSpec) -> EngineConfig:
 
 
 # ---------------------------------------------------------------------------
-# Persistent worker pools
+# The persistent chunk pool
 # ---------------------------------------------------------------------------
 _POOL_LOCK = threading.Lock()
-_THREAD_POOLS: Dict[int, ThreadPoolExecutor] = {}
+_POOL: Optional[ThreadPoolExecutor] = None
 
 
-def shared_thread_pool(max_workers: int) -> ThreadPoolExecutor:
-    """The process-wide thread pool for ``max_workers``, created lazily.
+def _cpu_count() -> int:
+    return os.cpu_count() or 1
 
-    One pool per worker count is kept for the lifetime of the process and
-    shared by every ``"threads"`` pass — executor construction and thread
-    spin-up happen once, not per call.
-    """
-    if max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+
+def shared_thread_pool() -> ThreadPoolExecutor:
+    """The process-wide chunk pool (one worker per core), created lazily."""
+    global _POOL
     with _POOL_LOCK:
-        pool = _THREAD_POOLS.get(max_workers)
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=max_workers,
-                thread_name_prefix=f"repro-engine-{max_workers}",
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(
+                _cpu_count(), thread_name_prefix="repro-engine"
             )
-            _THREAD_POOLS[max_workers] = pool
-        return pool
+        return _POOL
 
 
 def shutdown_pools(wait: bool = True) -> None:
-    """Tear down every persistent engine pool (threads and processes).
-
-    Mainly for tests and for parents about to fork; the pools re-create
-    themselves lazily on next use.
-    """
+    """Tear down the persistent chunk pool; it re-creates itself on next use."""
+    global _POOL
     with _POOL_LOCK:
-        pools = list(_THREAD_POOLS.values())
-        _THREAD_POOLS.clear()
-    for pool in pools:
+        pool, _POOL = _POOL, None
+    if pool is not None:
         pool.shutdown(wait=wait)
-    from . import procpool
 
-    procpool.shutdown_process_pool(wait=wait)
+
+def _drop_pool_after_fork() -> None:
+    # The child inherits the pool object but none of its worker threads,
+    # so work submitted to it would never run.  Forget it (and a lock
+    # some other parent thread may have held mid-fork).
+    global _POOL, _POOL_LOCK
+    _POOL = None
+    _POOL_LOCK = threading.Lock()
 
 
 atexit.register(shutdown_pools)
+os.register_at_fork(after_in_child=_drop_pool_after_fork)
+
+
+def _inline_map(kernel: Callable[[T], R], chunks: Iterable[T]) -> List[R]:
+    return [kernel(chunk) for chunk in chunks]
+
+
+def _pooled_map(kernel: Callable[[T], R], chunks: Iterable[T]) -> List[R]:
+    """Map ``kernel`` over the shared pool, in order, with at most two
+    chunks per worker in flight so a long clip is never materialized
+    all at once."""
+    pool = shared_thread_pool()
+    window = 2 * _cpu_count()
+    pending: Deque[Future] = deque()
+    results: List[R] = []
+    try:
+        for chunk in chunks:
+            if len(pending) >= window:
+                results.append(pending.popleft().result())
+            pending.append(pool.submit(kernel, chunk))
+        while pending:
+            results.append(pending.popleft().result())
+    finally:
+        for future in pending:
+            future.cancel()
+    return results
 
 
 def map_chunks(
     config: EngineConfig, kernel: Callable[[T], R], chunks: Iterable[T]
 ) -> List[R]:
-    """Apply ``kernel`` to every chunk under the configured engine.
+    """Apply ``kernel`` to every chunk; order is preserved.
 
-    Order is preserved.  For ``"threads"`` with more than one effective
-    worker, chunks are processed by the persistent shared thread pool
-    (the numpy kernels release the GIL); with a single worker — or for
-    any other kind — the map is a plain loop.  ``"processes"`` is
-    intentionally inline here: arbitrary kernels/chunks would have to be
-    pickled per call, which costs more than it saves.  The process-pool
-    fan-out lives in :mod:`repro.core.procpool`, where the profiling
-    kernel's inputs travel through shared memory instead; callers that
-    can use it (the analyzer) route there before reaching this function.
+    When the pass has more than one chunk and the host more than one
+    core, the chunks run on the persistent shared thread pool; otherwise
+    the map is a plain loop in the calling thread.
 
     When telemetry is enabled, every kernel invocation is timed into the
     ``repro_engine_chunk_seconds{kind=...}`` histogram and the pass as a
     whole updates chunk/frame counters plus the
     ``repro_engine_frames_per_sec{kind=...}`` gauge (frames over the
-    pass's wall-clock time; sized chunks only).
+    pass's wall-clock time).  Frames are counted in the calling thread
+    from the per-chunk results, which must then be sized (one entry per
+    frame, as :func:`~repro.core.analyzer.chunk_frame_stats` returns).
     """
-    use_threads = config.kind == "threads" and config.resolved_workers() > 1
+    chunks = iter(chunks)
+    head = list(itertools.islice(chunks, 2))
+    run = _pooled_map if len(head) > 1 and _cpu_count() > 1 else _inline_map
+    chunks = itertools.chain(head, chunks)
     if not telemetry.enabled():
-        if use_threads:
-            pool = shared_thread_pool(config.resolved_workers())
-            return list(pool.map(kernel, chunks))
-        return [kernel(chunk) for chunk in chunks]
+        return run(kernel, chunks)
+
+    def timed(chunk: T) -> Tuple[R, float]:
+        start = perf_counter()
+        out = kernel(chunk)
+        return out, perf_counter() - start
+
+    wall_start = perf_counter()
+    timings = run(timed, chunks)
+    wall = perf_counter() - wall_start
+    results = [out for out, _ in timings]
 
     reg = telemetry.registry()
     labels = {"kind": config.kind}
-    chunk_seconds = reg.histogram(
-        "repro_engine_chunk_seconds",
-        help="Per-chunk kernel time under the execution engine.",
-        labels=labels,
-    )
-    durations: List[float] = []
-    frames = [0]
-
-    def timed(chunk: T) -> R:
-        start = perf_counter()
-        out = kernel(chunk)
-        durations.append(perf_counter() - start)
-        try:
-            frames[0] += len(chunk)  # type: ignore[arg-type]
-        except TypeError:
-            pass
-        return out
-
-    wall_start = perf_counter()
-    if use_threads:
-        pool = shared_thread_pool(config.resolved_workers())
-        results = list(pool.map(timed, chunks))
-    else:
-        results = [timed(chunk) for chunk in chunks]
-    wall = perf_counter() - wall_start
-
-    chunk_seconds.observe_many(durations)
-    reg.counter(
-        "repro_engine_chunks_total", help="Chunks processed by the execution engine.",
-        labels=labels,
-    ).inc(len(durations))
-    if frames[0]:
-        reg.counter(
-            "repro_engine_frames_total", help="Frames processed by the execution engine.",
-            labels=labels,
-        ).inc(frames[0])
-        if wall > 0.0:
-            reg.gauge(
-                "repro_engine_frames_per_sec",
-                help="Throughput of the most recent engine pass.",
-                labels=labels,
-            ).set(frames[0] / wall)
-    return results
-
-
-def record_engine_pass(
-    kind: str, durations: List[float], frames: int, wall: float
-) -> None:
-    """Publish one engine pass's telemetry (shared with the process path).
-
-    Mirrors the metrics :func:`map_chunks` records, so
-    ``repro_engine_*{kind="processes"}`` series line up with the other
-    engine kinds even though the process fan-out bypasses ``map_chunks``.
-    """
-    if not telemetry.enabled():
-        return
-    reg = telemetry.registry()
-    labels = {"kind": kind}
     reg.histogram(
         "repro_engine_chunk_seconds",
         help="Per-chunk kernel time under the execution engine.",
         labels=labels,
-    ).observe_many(durations)
+    ).observe_many([seconds for _, seconds in timings])
     reg.counter(
         "repro_engine_chunks_total", help="Chunks processed by the execution engine.",
         labels=labels,
-    ).inc(len(durations))
+    ).inc(len(timings))
+    frames = sum(len(out) for out in results if isinstance(out, Sized))
     if frames:
         reg.counter(
             "repro_engine_frames_total", help="Frames processed by the execution engine.",
@@ -285,3 +241,4 @@ def record_engine_pass(
                 help="Throughput of the most recent engine pass.",
                 labels=labels,
             ).set(frames / wall)
+    return results

@@ -25,8 +25,8 @@ Both are frozen: validated once in ``__post_init__``, then shared
 freely across threads, event loops and (for :class:`ServeConfig`)
 pickled into worker processes.  Derive variants with :meth:`replace`.
 
-The old per-call keyword spellings keep working through deprecation
-shims on the call sites; new code should construct a config object.
+The old per-call keyword spellings finished their deprecation cycle:
+the call sites accept only these objects.
 """
 
 from __future__ import annotations

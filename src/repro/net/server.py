@@ -71,12 +71,10 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import contextvars
-import dataclasses
 import queue as queue_mod
 import secrets
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple
@@ -110,11 +108,6 @@ from .messages import (
     encode_session,
     encode_statsdump,
     encode_status,
-)
-
-#: Keyword names accepted by the legacy (pre-``ServeConfig``) signature.
-_LEGACY_SERVE_KWARGS = frozenset(
-    f.name for f in dataclasses.fields(ServeConfig)
 )
 
 #: Sentinel closing a producer queue (normal completion).
@@ -180,19 +173,6 @@ class AnnotationStreamServer:
         ``batch_records`` / ``batch_bytes``), the CPU gate
         (``compute_slots``) and the hello deadline
         (``hello_timeout_s``).  ``None`` uses the defaults.
-    **legacy_kwargs:
-        Deprecated: the pre-``ServeConfig`` spelling, any
-        :class:`~repro.net.config.ServeConfig` field passed as a loose
-        keyword (``queue_depth=...``, ``max_sessions=...``, ...).
-        Still honored — folded into ``config`` — but emits a
-        :class:`DeprecationWarning`; construct a config object instead.
-
-    Raises
-    ------
-    ValueError
-        If any numeric config parameter is out of range.
-    TypeError
-        If an unknown keyword argument is passed.
     """
 
     def __init__(
@@ -201,25 +181,7 @@ class AnnotationStreamServer:
         host: str = "127.0.0.1",
         port: int = 0,
         config: Optional[ServeConfig] = None,
-        **legacy_kwargs,
     ):
-        if legacy_kwargs:
-            unknown = set(legacy_kwargs) - _LEGACY_SERVE_KWARGS
-            if unknown:
-                raise TypeError(
-                    "unknown serve parameter(s): "
-                    + ", ".join(sorted(unknown))
-                )
-            warnings.warn(
-                "passing serve knobs as loose keyword arguments is "
-                "deprecated; build a repro.net.ServeConfig and pass it "
-                "as config=",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = (config if config is not None else ServeConfig()).replace(
-                **legacy_kwargs
-            )
         if config is None:
             config = ServeConfig()
         #: The immutable serving policy this server was built from.

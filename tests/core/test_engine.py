@@ -4,8 +4,14 @@ The chunked engine is only allowed to be the default because it produces
 byte-for-byte the same FrameStats, histograms, compensated pixels and
 clipped fractions as the paper-literal per-frame path.  These tests pin
 that contract, including the awkward geometries: chunk_size 1, odd
-remainders, and chunk_size larger than the clip.
+remainders, and chunk_size larger than the clip — and they pin when the
+chunked engine spreads chunks over its shared thread pool.
 """
+
+import multiprocessing
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,17 +19,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro.core.engine as engine_module
 from repro.core import (
+    ENGINE_KINDS,
     AnnotationPipeline,
     EngineConfig,
     SchemeParameters,
     StreamAnalyzer,
     contrast_enhancement,
     contrast_enhancement_batch,
+    map_chunks,
     resolve_engine,
+    shutdown_pools,
 )
 from repro.display import ipaq_5555
-from repro.video import ArrayClip, Frame, FrameChunk, VideoClip
+from repro.telemetry import registry
+from repro.video import (
+    DEFAULT_CHUNK_SIZE,
+    ArrayClip,
+    Frame,
+    FrameChunk,
+    VideoClip,
+    autotune_chunk_size,
+)
+from repro.video.chunks import MAX_AUTOTUNE_CHUNK, MIN_AUTOTUNE_CHUNK
 
 # Small random clips: N frames of identical (H, W), arbitrary uint8 content.
 clip_batches = arrays(
@@ -33,6 +52,17 @@ clip_batches = arrays(
 )
 
 chunk_sizes = st.integers(1, 20)
+
+
+def cores(n):
+    """Pretend the host has ``n`` cores (the pooled path needs two)."""
+    return mock.patch.object(engine_module, "_cpu_count", return_value=n)
+
+
+def random_clip(frames=37, height=20, width=28, seed=42):
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, size=(frames, height, width, 3), dtype=np.uint8)
+    return ArrayClip(pixels, fps=24.0, name="rand")
 
 
 def assert_stats_identical(a, b):
@@ -60,9 +90,9 @@ class TestAnalyzerEquivalence:
     def test_threads_bit_identical_to_perframe(self, batch):
         clip = ArrayClip(batch, name="prop")
         reference = StreamAnalyzer("perframe").analyze(clip)
-        threaded = StreamAnalyzer(
-            EngineConfig(kind="threads", chunk_size=3, max_workers=2)
-        ).analyze(clip)
+        with cores(2):
+            threaded = StreamAnalyzer(EngineConfig(chunk_size=3)).analyze(clip)
+        assert len(threaded) == len(reference)
         for ref, got in zip(reference, threaded):
             assert_stats_identical(ref, got)
 
@@ -98,7 +128,7 @@ class TestAnalyzerEquivalence:
             assert_stats_identical(ref, got)
 
     def test_empty_stream_raises_for_all_engines(self):
-        for engine in ("perframe", "chunked", "threads"):
+        for engine in ENGINE_KINDS:
             with pytest.raises(ValueError):
                 StreamAnalyzer(engine).analyze_frames([])
 
@@ -114,7 +144,7 @@ class TestEngineResolution:
         assert resolve_engine(None).kind == "chunked"
 
     def test_string_and_config_pass_through(self):
-        assert resolve_engine("threads").kind == "threads"
+        assert resolve_engine("perframe").kind == "perframe"
         config = EngineConfig(kind="perframe")
         assert resolve_engine(config) is config
 
@@ -125,8 +155,111 @@ class TestEngineResolution:
             resolve_engine(42)
         with pytest.raises(ValueError):
             EngineConfig(chunk_size=0)
+
+    @pytest.mark.parametrize("kind", ["threads", "processes"])
+    def test_retired_kinds_rejected(self, kind):
         with pytest.raises(ValueError):
-            EngineConfig(kind="threads", max_workers=0)
+            EngineConfig(kind=kind)
+
+
+def _profile_and_exit(clip):
+    StreamAnalyzer(EngineConfig(chunk_size=4)).analyze(clip)
+
+
+class TestChunkPool:
+    @staticmethod
+    def thread_ids(chunks, ncores):
+        with cores(ncores):
+            return map_chunks(EngineConfig(), lambda _: threading.get_ident(), chunks)
+
+    def test_multi_chunk_pass_runs_on_the_pool(self):
+        assert threading.get_ident() not in self.thread_ids(range(6), 2)
+
+    def test_single_chunk_pass_runs_inline(self):
+        assert self.thread_ids([0], 2) == [threading.get_ident()]
+
+    def test_one_core_runs_inline(self):
+        assert set(self.thread_ids(range(6), 1)) == {threading.get_ident()}
+
+    def test_order_preserved(self):
+        with cores(2):
+            assert map_chunks(EngineConfig(), lambda c: c * 2, range(50)) == [
+                c * 2 for c in range(50)
+            ]
+
+    def test_thread_pool_reused_across_calls(self):
+        assert engine_module.shared_thread_pool() is engine_module.shared_thread_pool()
+
+    def test_shutdown_recreates_lazily(self):
+        before = engine_module.shared_thread_pool()
+        shutdown_pools()
+        after = engine_module.shared_thread_pool()
+        assert after is not before
+        assert after.submit(lambda: 21 * 2).result() == 42
+
+    def test_threaded_pass_counts_every_frame(self):
+        """Frame counts must not race on pool threads: more workers than
+        cores, one-frame chunks and a tiny switch interval."""
+        clip = random_clip()
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            with cores(8):
+                shutdown_pools()  # re-create the pool with 8 workers
+                StreamAnalyzer(EngineConfig(chunk_size=1)).analyze(clip)
+        finally:
+            sys.setswitchinterval(interval)
+            shutdown_pools()
+        frames = registry().series("repro_engine_frames_total")
+        assert sum(m.value for m in frames) == clip.frame_count
+        chunks = registry().get("repro_engine_chunks_total", labels={"kind": "chunked"})
+        assert chunks.value == clip.frame_count
+
+    def test_forked_child_profiles_after_parent_used_the_pool(self):
+        """A fork inherits the pool object but not its worker threads."""
+        clip = random_clip(frames=24)
+        with cores(2):
+            StreamAnalyzer(EngineConfig(chunk_size=4)).analyze(clip)
+            child = multiprocessing.get_context("fork").Process(
+                target=_profile_and_exit, args=(clip,)
+            )
+            child.start()
+            child.join(timeout=20)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("forked child hung profiling on the inherited pool")
+        assert child.exitcode == 0
+
+
+class TestAutotuner:
+    def test_bounds(self):
+        assert autotune_chunk_size(1, 1) == MAX_AUTOTUNE_CHUNK
+        assert autotune_chunk_size(4000, 4000) == MIN_AUTOTUNE_CHUNK
+
+    def test_monotone_in_frame_area(self):
+        sizes = [autotune_chunk_size(h, h) for h in (16, 64, 256, 1024, 4096)]
+        assert sizes == sorted(sizes, reverse=True)
+
+    def test_explicit_target_bytes(self):
+        # 100x100x3 bytes/frame * 8 bytes of float64 scratch per byte
+        per_frame = 100 * 100 * 3 * 8
+        assert autotune_chunk_size(100, 100, target_bytes=per_frame * 20) == 20
+
+    def test_invalid_geometry_rejected(self):
+        with pytest.raises(ValueError):
+            autotune_chunk_size(0, 100)
+        with pytest.raises(ValueError):
+            autotune_chunk_size(100, 100, target_bytes=0)
+
+    def test_engine_config_resolution(self):
+        config = EngineConfig()
+        assert config.resolved_chunk_size(None) == DEFAULT_CHUNK_SIZE
+        assert config.resolved_chunk_size((24, 32)) == autotune_chunk_size(24, 32)
+        pinned = EngineConfig(chunk_size=7)
+        assert pinned.resolved_chunk_size((24, 32)) == 7
+        with pytest.raises(ValueError):
+            EngineConfig(chunk_size=0)
 
 
 class TestBatchedCompensation:

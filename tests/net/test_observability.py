@@ -28,6 +28,7 @@ from repro.net import (
     FaultSpec,
     LatencyStats,
     LossyTransport,
+    ServeConfig,
     encode_packet_bytes,
     encode_hello,
     fetch_stats,
@@ -178,7 +179,9 @@ class TestStatsProbe:
         media = _media_server(clip)
 
         async def run():
-            async with AnnotationStreamServer(media, max_sessions=1) as server:
+            async with AnnotationStreamServer(
+                media, config=ServeConfig(max_sessions=1)
+            ) as server:
                 json_payload = await fetch_stats(*server.address)
                 prom_payload = await fetch_stats(
                     *server.address, format="prometheus"
@@ -203,7 +206,7 @@ class TestStatsProbe:
 
         async def run():
             async with AnnotationStreamServer(
-                media, max_sessions=1, accept_queue=0, queue_depth=1,
+                media, config=ServeConfig(max_sessions=1, accept_queue=0, queue_depth=1)
             ) as server:
                 holder = _client(device)
                 request = holder._player.request(clip.name, QUALITY)
@@ -239,7 +242,7 @@ class TestStatsProbe:
 
         async def run():
             server = AnnotationStreamServer(
-                media, queue_depth=1, drain_timeout_s=10.0
+                media, config=ServeConfig(queue_depth=1, drain_timeout_s=10.0)
             )
             await server.start()
             address = server.address

@@ -29,6 +29,7 @@ from repro.net import (
     CircuitOpenError,
     FaultSpec,
     LossyTransport,
+    ServeConfig,
     StreamFetchError,
     encode_packet_bytes,
     fetch_status,
@@ -118,7 +119,9 @@ class TestSessionResume:
         reference = _reference(media, clip.name)
 
         async def run():
-            async with AnnotationStreamServer(media, queue_depth=4) as server:
+            async with AnnotationStreamServer(
+                media, config=ServeConfig(queue_depth=4)
+            ) as server:
                 spec = FaultSpec(kill_after_records=5, max_faults=1, seed=3)
                 async with LossyTransport(*server.address, spec) as lossy:
                     client = _client(device, backoff_base_s=0.2, max_retries=4)
@@ -137,7 +140,9 @@ class TestSessionResume:
         reference = _reference(media, clip.name)
 
         async def run():
-            async with AnnotationStreamServer(media, queue_depth=4) as server:
+            async with AnnotationStreamServer(
+                media, config=ServeConfig(queue_depth=4)
+            ) as server:
                 spec = FaultSpec(kill_after_records=4, max_faults=3, seed=3)
                 async with LossyTransport(*server.address, spec) as lossy:
                     client = _client(device, backoff_base_s=0.2, max_retries=8)
@@ -157,7 +162,7 @@ class TestSessionResume:
 
         async def run():
             async with AnnotationStreamServer(
-                media, queue_depth=4, resume_window_s=0.0
+                media, config=ServeConfig(queue_depth=4, resume_window_s=0.0)
             ) as server:
                 spec = FaultSpec(kill_after_records=5, max_faults=1, seed=3)
                 async with LossyTransport(*server.address, spec) as lossy:
@@ -176,7 +181,9 @@ class TestSessionResume:
         reference = _reference(media, clip.name)
 
         async def run():
-            async with AnnotationStreamServer(media, queue_depth=4) as server:
+            async with AnnotationStreamServer(
+                media, config=ServeConfig(queue_depth=4)
+            ) as server:
                 spec = FaultSpec(kill_after_records=5, max_faults=1, seed=3)
                 async with LossyTransport(*server.address, spec) as lossy:
                     client = _client(
@@ -236,8 +243,9 @@ class TestAdmissionControl:
 
         async def run():
             async with AnnotationStreamServer(
-                media, max_sessions=1, accept_queue=0,
-                busy_retry_after_s=0.05,
+                media, config=ServeConfig(
+                    max_sessions=1, accept_queue=0, busy_retry_after_s=0.05,
+                ),
             ) as server:
                 clients = [
                     _client(device, rng=random.Random(i), max_retries=10,
@@ -267,7 +275,7 @@ class TestAdmissionControl:
 
         async def run():
             async with AnnotationStreamServer(
-                media, max_sessions=1, accept_queue=4,
+                media, config=ServeConfig(max_sessions=1, accept_queue=4)
             ) as server:
                 clients = [
                     _client(device, rng=random.Random(i), max_retries=0)
@@ -292,7 +300,7 @@ class TestAdmissionControl:
 
         async def run():
             async with AnnotationStreamServer(
-                media, max_sessions=1, accept_queue=0, queue_depth=1,
+                media, config=ServeConfig(max_sessions=1, accept_queue=0, queue_depth=1)
             ) as server:
                 holder = _client(device)
                 request = holder._player.request(clip.name, QUALITY)
@@ -316,7 +324,9 @@ class TestAdmissionControl:
         media = _media_server(_clip(name="okclip"))
 
         async def run():
-            async with AnnotationStreamServer(media, max_sessions=2) as server:
+            async with AnnotationStreamServer(
+                media, config=ServeConfig(max_sessions=2)
+            ) as server:
                 await _client(device).fetch(*server.address, "nosuch", QUALITY)
 
         with pytest.raises(NegotiationError):
@@ -353,7 +363,7 @@ class TestGracefulDrain:
 
         async def run():
             server = AnnotationStreamServer(
-                media, queue_depth=1, drain_timeout_s=10.0
+                media, config=ServeConfig(queue_depth=1, drain_timeout_s=10.0)
             )
             await server.start()
             address = server.address
@@ -391,7 +401,7 @@ class TestGracefulDrain:
         media = _media_server(clip)
 
         async def run():
-            server = AnnotationStreamServer(media, queue_depth=1)
+            server = AnnotationStreamServer(media, config=ServeConfig(queue_depth=1))
             await server.start()
             holder = _client(device)
             request = holder._player.request(clip.name, QUALITY)
@@ -428,7 +438,9 @@ class TestHealthProbe:
         media = _media_server(_clip(name="healthclip"))
 
         async def run():
-            async with AnnotationStreamServer(media, max_sessions=3) as server:
+            async with AnnotationStreamServer(
+                media, config=ServeConfig(max_sessions=3)
+            ) as server:
                 return await fetch_status(*server.address)
 
         status = asyncio.run(run())
@@ -442,7 +454,9 @@ class TestHealthProbe:
         media = _media_server(_clip(name="healthzclip"))
 
         async def run():
-            async with AnnotationStreamServer(media, max_sessions=2) as server:
+            async with AnnotationStreamServer(
+                media, config=ServeConfig(max_sessions=2)
+            ) as server:
                 return server.healthz()
 
         health = asyncio.run(run())
@@ -458,7 +472,7 @@ class TestHealthProbe:
         service.add_clip(_clip(name="facadeclip"))
 
         async def run():
-            async with service.serve(max_sessions=5) as srv:
+            async with service.serve(config=ServeConfig(max_sessions=5)) as srv:
                 return await server_status(*srv.address)
 
         status = asyncio.run(run())
@@ -542,7 +556,7 @@ class TestServerParameters:
     )
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            AnnotationStreamServer(_media_server(_clip()), **kwargs)
+            AnnotationStreamServer(_media_server(_clip()), config=ServeConfig(**kwargs))
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -1,11 +1,10 @@
-"""The config-object API: ServeConfig / FetchOptions, shims, portable tokens.
+"""The config-object API: ServeConfig / FetchOptions, portable tokens.
 
-Pins the redesigned serve/fetch surface:
+Pins the serve/fetch surface:
 
 * :class:`~repro.net.config.ServeConfig` validates once, is frozen and
   picklable, and parameterizes the server exactly like the old kwargs;
-* the legacy loose-kwarg spellings still work but emit
-  ``DeprecationWarning`` (the shim this suite pins in place);
+* the retired loose-kwarg spellings raise a plain ``TypeError``;
 * :class:`~repro.net.config.FetchOptions` is the one definition behind
   the facade fetch family;
 * portable resume tokens round-trip, reject tampering, and let a
@@ -128,46 +127,28 @@ class TestServeConfig:
 
 
 class TestLegacyServeShim:
-    def test_loose_kwargs_warn_and_apply(self):
-        media = _media_server(_clip())
-        with pytest.warns(DeprecationWarning, match="ServeConfig"):
-            server = AnnotationStreamServer(media, queue_depth=4, max_sessions=2)
-        assert server.queue_depth == 4
-        assert server.max_sessions == 2
-        assert server.config.queue_depth == 4
-
-    def test_loose_kwargs_overlay_a_config(self):
-        media = _media_server(_clip())
-        base = ServeConfig(queue_depth=8, accept_queue=3)
-        with pytest.warns(DeprecationWarning):
-            server = AnnotationStreamServer(media, config=base, queue_depth=4)
-        assert server.queue_depth == 4       # legacy kwarg wins
-        assert server.accept_queue == 3      # rest of the config survives
+    """The pre-``ServeConfig`` loose-kwarg spelling finished its
+    deprecation cycle: config objects are the only way in."""
 
     def test_unknown_kwarg_raises_type_error(self):
         media = _media_server(_clip())
-        with pytest.raises(TypeError, match="unknown serve parameter"):
-            AnnotationStreamServer(media, bogus_knob=1)
-
-    def test_invalid_legacy_value_still_raises_value_error(self):
-        media = _media_server(_clip())
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                AnnotationStreamServer(media, queue_depth=0)
+        for kwargs in ({"bogus_knob": 1}, {"queue_depth": 4}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                AnnotationStreamServer(media, **kwargs)
+        service = StreamingService(params=FAST_PARAMS)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            service.serve(max_sessions=3)
 
     def test_config_path_does_not_warn(self, recwarn):
         media = _media_server(_clip())
         AnnotationStreamServer(media, config=ServeConfig(queue_depth=4))
         assert not [w for w in recwarn if w.category is DeprecationWarning]
 
-    def test_facade_serve_accepts_config_and_shims_legacy(self):
+    def test_facade_serve_accepts_config(self):
         service = StreamingService(params=FAST_PARAMS)
         service.add_clip(_clip())
         server = service.serve(config=ServeConfig(max_sessions=3))
         assert server.max_sessions == 3
-        with pytest.warns(DeprecationWarning):
-            legacy = service.serve(max_sessions=3)
-        assert legacy.max_sessions == 3
 
 
 class TestFetchOptions:
@@ -202,8 +183,8 @@ class TestFetchOptions:
         with pytest.raises(ValueError):
             options.replace(max_retries=-1)
 
-    def test_fetch_family_round_trip_and_shim(self, device):
-        """One server round trip through every fetch spelling."""
+    def test_fetch_family_round_trip(self, device):
+        """One server round trip through the facade and the options."""
         clip = _clip(name="fetchfam")
         media = _media_server(clip)
         reference = _reference(media, clip.name)
@@ -218,18 +199,17 @@ class TestFetchOptions:
                 via_options = await service.fetch(
                     host, port, clip.name, QUALITY, device, options=options
                 )
-                with pytest.warns(DeprecationWarning, match="FetchOptions"):
-                    via_legacy = await service.fetch(
-                        host, port, clip.name, QUALITY, device, max_retries=1
-                    )
-                return via_options, via_legacy
+                via_defaults = await service.fetch(
+                    host, port, clip.name, QUALITY, device
+                )
+                return via_options, via_defaults
 
-        via_options, via_legacy = asyncio.run(run())
+        via_options, via_defaults = asyncio.run(run())
         assert len(via_options.packets) == len(reference)
-        assert len(via_legacy.packets) == len(reference)
+        assert len(via_defaults.packets) == len(reference)
 
     def test_unknown_fetch_kwarg_raises_type_error(self, device):
-        with pytest.raises(TypeError, match="unknown fetch parameter"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             fetch_stream_sync("127.0.0.1", 1, "clip", QUALITY, device,
                               bogus_knob=1)
 

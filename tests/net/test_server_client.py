@@ -16,6 +16,7 @@ from repro.core import ProfileCache, SchemeParameters
 from repro.net import (
     AnnotationStreamServer,
     AsyncMobileClient,
+    ServeConfig,
     StreamFetchError,
     encode_packet_bytes,
 )
@@ -158,7 +159,9 @@ class TestFetch:
         reference = _reference_packets(media, "wireclip")
 
         async def run():
-            async with AnnotationStreamServer(media, queue_depth=1) as server:
+            async with AnnotationStreamServer(
+                media, config=ServeConfig(queue_depth=1)
+            ) as server:
                 return await _client(device).fetch(
                     *server.address, "wireclip", QUALITY
                 )
@@ -225,7 +228,7 @@ class TestNegotiation:
 
         async def run():
             async with AnnotationStreamServer(
-                media, hello_timeout_s=0.2
+                media, config=ServeConfig(hello_timeout_s=0.2)
             ) as server:
                 reader, writer = await asyncio.open_connection(*server.address)
                 data = await asyncio.wait_for(reader.read(), timeout=5.0)
@@ -259,7 +262,9 @@ class TestRobustness:
         media = _media_server(_clip(frames=90, height=48, width=36))
 
         async def run():
-            async with AnnotationStreamServer(media, queue_depth=2) as server:
+            async with AnnotationStreamServer(
+                media, config=ServeConfig(queue_depth=2)
+            ) as server:
                 client = _client(device)
                 request = client._player.request("wireclip", QUALITY)
                 from repro.net.messages import encode_hello
@@ -332,11 +337,15 @@ class TestClientParameters:
 class TestServerParameters:
     def test_invalid_queue_depth_rejected(self):
         with pytest.raises(ValueError):
-            AnnotationStreamServer(_media_server(_clip()), queue_depth=0)
+            AnnotationStreamServer(
+                _media_server(_clip()), config=ServeConfig(queue_depth=0)
+            )
 
     def test_invalid_hello_timeout_rejected(self):
         with pytest.raises(ValueError):
-            AnnotationStreamServer(_media_server(_clip()), hello_timeout_s=0)
+            AnnotationStreamServer(
+                _media_server(_clip()), config=ServeConfig(hello_timeout_s=0)
+            )
 
     def test_port_requires_started_server(self):
         server = AnnotationStreamServer(_media_server(_clip()))

@@ -23,6 +23,7 @@ from repro.net import (
     AsyncMobileClient,
     FaultSpec,
     LossyTransport,
+    ServeConfig,
 )
 from repro.streaming import (
     ClientCapabilities,
@@ -71,7 +72,9 @@ def _client(device, max_retries=8):
 
 
 async def _fetch_through(media, spec, device, max_retries=8, **server_kwargs):
-    async with AnnotationStreamServer(media, **server_kwargs) as server:
+    async with AnnotationStreamServer(
+        media, config=ServeConfig(**server_kwargs)
+    ) as server:
         async with LossyTransport(*server.address, spec=spec) as lossy:
             result = await _client(device, max_retries).fetch(
                 *lossy.address, media.catalog()[0], QUALITY
@@ -80,7 +83,9 @@ async def _fetch_through(media, spec, device, max_retries=8, **server_kwargs):
 
 
 async def _fetch_direct(media, device, **server_kwargs):
-    async with AnnotationStreamServer(media, **server_kwargs) as server:
+    async with AnnotationStreamServer(
+        media, config=ServeConfig(**server_kwargs)
+    ) as server:
         return await _client(device).fetch(
             *server.address, media.catalog()[0], QUALITY
         )
@@ -165,7 +170,7 @@ class TestBatchedWireUnderFaults:
 
         async def fleet():
             async with AnnotationStreamServer(
-                media, compute_slots=1
+                media, config=ServeConfig(compute_slots=1)
             ) as server:
                 return await asyncio.gather(*[
                     _client(device).fetch(
@@ -182,16 +187,18 @@ class TestBatchConfig:
     def test_thresholds_validated(self):
         media = _media_server(_clip())
         with pytest.raises(ValueError):
-            AnnotationStreamServer(media, batch_records=0)
+            AnnotationStreamServer(media, config=ServeConfig(batch_records=0))
         with pytest.raises(ValueError):
-            AnnotationStreamServer(media, batch_bytes=0)
+            AnnotationStreamServer(media, config=ServeConfig(batch_bytes=0))
 
     def test_compute_slots_validated_and_defaulted(self):
         media = _media_server(_clip())
         with pytest.raises(ValueError):
-            AnnotationStreamServer(media, compute_slots=0)
+            AnnotationStreamServer(media, config=ServeConfig(compute_slots=0))
         assert AnnotationStreamServer(media).compute_slots >= 1
-        assert AnnotationStreamServer(media, compute_slots=2).compute_slots == 2
+        assert AnnotationStreamServer(
+            media, config=ServeConfig(compute_slots=2)
+        ).compute_slots == 2
 
 
 class TestFirstByteEnqueued:

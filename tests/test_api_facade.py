@@ -36,16 +36,12 @@ def _engine_default_isolation():
 class TestConfigureEngine:
     def test_returns_previous_default(self):
         assert api.configure_engine("perframe") is None
-        assert api.configure_engine("threads") == "perframe"
-        assert api.default_engine() == "threads"
+        assert api.configure_engine("chunked") == "perframe"
+        assert api.default_engine() == "chunked"
 
     def test_kind_refined_with_chunk_size(self):
-        api.configure_engine("chunked", chunk_size=7, max_workers=2)
-        engine = api.default_engine()
-        assert isinstance(engine, EngineConfig)
-        assert engine.kind == "chunked"
-        assert engine.chunk_size == 7
-        assert engine.max_workers == 2
+        api.configure_engine("chunked", chunk_size=7)
+        assert api.default_engine() == EngineConfig(kind="chunked", chunk_size=7)
 
     def test_invalid_kind_rejected_eagerly(self):
         with pytest.raises(ValueError):
@@ -62,7 +58,7 @@ class TestConfigureEngine:
 
     def test_explicit_engine_overrides_default(self):
         api.configure_engine("perframe")
-        assert api.AnnotationService(engine="threads").engine == "threads"
+        assert api.AnnotationService(engine="chunked").engine == "chunked"
 
 
 class TestAnnotationService:

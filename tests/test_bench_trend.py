@@ -102,6 +102,47 @@ class TestCompare:
         assert len(notes) == 1 and "gone" in notes[0]
 
 
+class TestWithinFileGates:
+    def network(self, **engines):
+        row = {"sessions_per_sec": 10.0, "frames_per_sec": 1000.0,
+               "latency": {"ttff_mean_s": 0.1}}
+        stall = {"reconnect_to_first_frame_ms": {"median": 10.0}}
+        payload = {"sessions": 8, "admission": {"frames_per_sec": 1000.0},
+                   "engines": {"perframe": row, "chunked": dict(row)},
+                   "resume": {"kill_at_10pct": stall, "kill_at_90pct": stall}}
+        for kind, fields in engines.items():
+            payload["engines"][kind] = {**payload["engines"][kind], **fields}
+        return payload
+
+    @pytest.mark.parametrize(
+        "name", ["BENCH_serving.json", "BENCH_engine.json", "BENCH_network.json"]
+    )
+    def test_committed_results_pass(self, trend, name):
+        with open(os.path.join(trend.RESULTS_DIR, name)) as fh:
+            failures, _ = trend.comparative(json.load(fh), name)
+        assert failures == []
+
+    def test_network_passes_when_healthy(self, trend):
+        assert trend.comparative(self.network(), "BENCH_network.json")[0] == []
+
+    def test_chunked_ttff_over_twice_perframe_fails(self, trend):
+        slow = self.network(chunked={"latency": {"ttff_mean_s": 0.25}})
+        failures, _ = trend.comparative(slow, "BENCH_network.json")
+        assert any("ttff_mean_s" in line for line in failures)
+
+    def test_frames_per_sec_floor_scales_with_sessions(self, trend):
+        # 8 sessions need 192 frames/s per engine; 191 fails.
+        slow = self.network(perframe={"frames_per_sec": 191.0})
+        failures, _ = trend.comparative(slow, "BENCH_network.json")
+        assert any("engines/perframe/frames_per_sec" in line for line in failures)
+
+    def test_serving_and_lut_floors(self, trend):
+        serving = {"engines": {"chunked": {"speedup_vs_perframe": 1.9}}}
+        engine = {"compensate_only": {"lut_speedup_vs_float": 1.4}}
+        assert trend.comparative(serving, "BENCH_serving.json")[0]
+        assert trend.comparative(engine, "BENCH_engine.json")[0]
+
+
 class TestMain:
     def test_missing_baseline_is_skipped(self, trend, tmp_path, capsys):
         path = tmp_path / "BENCH_new.json"
