@@ -264,14 +264,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _mean_clipped_fraction(stream) -> float:
-    """Clipped-pixel fraction via the batched compensation pass."""
-    from repro.video.chunks import HeterogeneousFrameError
-
-    try:
-        fractions = [chunk.clipped_fractions for chunk in stream.iter_chunks()]
-        return float(np.mean(np.concatenate(fractions)))
-    except HeterogeneousFrameError:
-        return stream.mean_clipped_fraction()
+    """Clipped-pixel fraction via the compensation pass."""
+    fractions = [chunk.clipped_fractions for chunk in stream.iter_chunks()]
+    return float(np.mean(np.concatenate(fractions)))
 
 
 def cmd_telemetry(args: argparse.Namespace) -> int:

@@ -19,14 +19,19 @@ exact thing the client plays back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..display.devices import DeviceProfile
 from ..power.measurement import simulated_backlight_savings
 from ..telemetry import registry, trace
-from ..video.chunks import DEFAULT_CHUNK_SIZE, HeterogeneousFrameError, autotune_chunk_size
+from ..video.chunks import (
+    DEFAULT_CHUNK_SIZE,
+    HeterogeneousFrameError,
+    autotune_chunk_size,
+    chunk_spans,
+)
 from ..video.clip import ClipBase
 from ..video.frame import Frame
 from .analyzer import FrameStats, StreamAnalyzer
@@ -43,7 +48,7 @@ from .compensation import (
     contrast_enhancement_batch,
     gain_lut,
 )
-from .engine import EngineSpec
+from .engine import EngineSpec, resolve_engine
 from .policies import BacklightPolicy, ClipQualityPolicy, PolicySpec, get_policy, resolve_policy
 from .policy import SchemeParameters
 from .profile_cache import ProfileCache, shared_profile_cache
@@ -81,10 +86,11 @@ class AnnotationPipeline:
         annotation, Section 3).  When given, the quality level bounds the
         clipped *importance mass* instead of the raw pixel count.
     engine:
-        Execution engine for the profiling pass (``None``, a kind name, or
-        an :class:`~repro.core.engine.EngineConfig`); forwarded to
-        :class:`~repro.core.analyzer.StreamAnalyzer`.  Ignored for
-        importance-weighted analysis.
+        Execution engine (``None``, a kind name, or an
+        :class:`~repro.core.engine.EngineConfig`).  Forwarded to
+        :class:`~repro.core.analyzer.StreamAnalyzer` for the profiling
+        pass (ignored for importance-weighted analysis); streams built
+        under ``"perframe"`` also compensate frame by frame.
     profile_cache:
         Optional content-keyed :class:`~repro.core.profile_cache.ProfileCache`
         consulted by :meth:`profile`.  Only plain (unweighted) analysis is
@@ -102,6 +108,7 @@ class AnnotationPipeline:
                  profile_cache: Optional[ProfileCache] = None,
                  policy: PolicySpec = None):
         self.params = params
+        self._perframe = resolve_engine(engine).kind == "perframe"
         if importance is None:
             self.analyzer = StreamAnalyzer(engine=engine)
         else:
@@ -182,9 +189,11 @@ class AnnotationPipeline:
         # the stream's precomputed clipped fractions.
         if type(self.analyzer) is not StreamAnalyzer:
             profile = None
-        return AnnotatedStream(
+        stream = AnnotatedStream(
             clip=clip, track=track, device=device, profile=profile
         )
+        stream._perframe = self._perframe
+        return stream
 
 
 @dataclass(frozen=True)
@@ -194,7 +203,9 @@ class CompensatedChunk:
     Attributes
     ----------
     pixels:
-        Compensated ``(N, H, W, 3)`` uint8 batch.
+        Compensated ``(N, H, W, 3)`` uint8 batch, or — on the per-frame
+        path (mixed resolutions, ``"perframe"`` engine) — the sequence
+        of ``N`` compensated ``(H, W, 3)`` frame arrays.
     start:
         Global index of the first frame in the batch.
     levels:
@@ -205,14 +216,14 @@ class CompensatedChunk:
         Per-frame fraction of pixels that clipped, ``(N,)``.
     """
 
-    pixels: np.ndarray
+    pixels: Union[np.ndarray, Sequence[np.ndarray]]
     start: int
     levels: np.ndarray
     gains: np.ndarray
     clipped_fractions: np.ndarray
 
     def __len__(self) -> int:
-        return self.pixels.shape[0]
+        return len(self.pixels)
 
     @property
     def stop(self) -> int:
@@ -236,10 +247,12 @@ class AnnotatedStream:
     Iterating yields ``(compensated_frame, backlight_level)`` pairs —
     compensation is applied lazily, which is how the server/proxy streams
     ("the compensation of the frames in the video stream is performed at
-    either the server or the intermediary proxy node").  Internally the
-    stream compensates whole chunks at a time via
-    :func:`~repro.core.compensation.contrast_enhancement_batch`;
-    :meth:`iter_chunks` exposes the batched form directly.
+    either the server or the intermediary proxy node").
+    :meth:`iter_chunks` is the one compensated-frame source behind that
+    iteration, the server's packet emission and the proxy: it
+    compensates whole chunks at a time via
+    :func:`~repro.core.compensation.contrast_enhancement_batch` and owns
+    the per-frame path too.
     """
 
     def __init__(
@@ -278,6 +291,9 @@ class AnnotatedStream:
         self._scene_starts = np.array([s.start for s in track.scenes], dtype=np.int64)
         self._clipped_fractions: Optional[np.ndarray] = None
         self._fraction_cache: Dict[int, float] = {}
+        # Set by the builders whose engine is "perframe": iter_chunks
+        # then compensates through the per-frame reference path.
+        self._perframe = False
 
     def _transform_at(self, index: int):
         """The pixel transform covering frame ``index``."""
@@ -352,9 +368,14 @@ class AnnotatedStream:
         into a reused :class:`~repro.core.compensation.ChunkArena`
         buffer: each yielded chunk's pixels are overwritten by the next
         iteration, so the consumer must fully copy/encode a chunk before
-        advancing.  Raises
-        :class:`~repro.video.chunks.HeterogeneousFrameError` for clips
-        that mix frame resolutions (use the per-frame API there).
+        advancing.
+
+        Total over every clip: when the clip mixes frame resolutions
+        (the batch cannot be stacked) the rest of the stream is finished
+        over the same spans through :meth:`compensated_frame`, and
+        streams built under the ``"perframe"`` engine take that path
+        from the start — the byte-identity reference for serving.  Those
+        chunks carry a sequence of per-frame arrays as ``pixels``.
         """
         if chunk_size is None:
             shape = self.clip.frame_shape()
@@ -368,20 +389,38 @@ class AnnotatedStream:
             "Frames compensated, by backlight policy",
             labels={"policy": self.policy.name},
         )
-        arena = ChunkArena() if reuse_output else None
-        for chunk in self.clip.iter_chunks(chunk_size, lead=lead, start=start):
-            gains = self._gains[chunk.start : chunk.stop]
+        produced = start
+        if not self._perframe:
+            arena = ChunkArena() if reuse_output else None
+            try:
+                for chunk in self.clip.iter_chunks(chunk_size, lead=lead, start=start):
+                    gains = self._gains[chunk.start : chunk.stop]
+                    with trace("pipeline.compensate"):
+                        pixels, fractions = self._compensate_pixels(
+                            chunk.pixels, chunk.start, chunk.stop, gains, arena=arena
+                        )
+                    frames_counter.inc(chunk.stop - chunk.start)
+                    produced, lead = chunk.stop, None
+                    yield CompensatedChunk(
+                        pixels=pixels,
+                        start=chunk.start,
+                        levels=self._levels[chunk.start : chunk.stop],
+                        gains=gains,
+                        clipped_fractions=fractions,
+                    )
+                return
+            except HeterogeneousFrameError:
+                pass  # finish per frame from the first unstackable chunk
+        for lo, hi in chunk_spans(self.frame_count, chunk_size, lead=lead, start=produced):
             with trace("pipeline.compensate"):
-                pixels, fractions = self._compensate_pixels(
-                    chunk.pixels, chunk.start, chunk.stop, gains, arena=arena
-                )
-            frames_counter.inc(chunk.stop - chunk.start)
+                results = [self.compensated_frame(i) for i in range(lo, hi)]
+            frames_counter.inc(hi - lo)
             yield CompensatedChunk(
-                pixels=pixels,
-                start=chunk.start,
-                levels=self._levels[chunk.start : chunk.stop],
-                gains=gains,
-                clipped_fractions=fractions,
+                pixels=[r.frame.pixels for r in results],
+                start=lo,
+                levels=self._levels[lo:hi],
+                gains=self._gains[lo:hi],
+                clipped_fractions=np.array([r.clipped_fraction for r in results]),
             )
 
     def _histogram_fractions(self) -> Optional[np.ndarray]:
@@ -444,16 +483,9 @@ class AnnotatedStream:
         return np.concatenate(out_parts), np.concatenate(fraction_parts)
 
     def __iter__(self) -> Iterator[Tuple[Frame, int]]:
-        produced = 0
-        try:
-            for chunk in self.iter_chunks():
-                for k in range(len(chunk)):
-                    yield chunk.frame(k), int(chunk.levels[k])
-                    produced += 1
-        except HeterogeneousFrameError:
-            # Mixed-resolution clip: finish with the per-frame path.
-            for i in range(produced, self.frame_count):
-                yield self.compensated_frame(i).frame, int(self._levels[i])
+        for chunk in self.iter_chunks():
+            for k in range(len(chunk)):
+                yield chunk.frame(k), int(chunk.levels[k])
 
     # ------------------------------------------------------------------
     def predicted_backlight_savings(self) -> float:

@@ -25,7 +25,6 @@ from ..core.policy import SchemeParameters
 from ..core.profile_cache import ProfileCache, shared_profile_cache
 from ..display.devices import DeviceProfile
 from ..telemetry import registry as telemetry_registry, trace
-from ..video.chunks import HeterogeneousFrameError
 from ..video.clip import VideoClip
 from ..video.frame import Frame
 from .packets import MediaPacket, annotation_packet, frame_packet
@@ -44,8 +43,12 @@ class TranscodingProxy:
         Buffered window length.  Must be at least the scene interval or
         every chunk degenerates to a single scene.
     engine:
-        Execution engine for the per-window profiling pass (``None``, a
-        kind name, or an :class:`~repro.core.engine.EngineConfig`).
+        Execution engine (``None``, a kind name, or an
+        :class:`~repro.core.engine.EngineConfig`) for each window's
+        profiling pass *and* its compensation: ``"perframe"`` windows
+        compensate through the per-frame reference path of
+        :meth:`~repro.core.pipeline.AnnotatedStream.iter_chunks`, with
+        byte-identical output.
     profile_cache:
         Content-keyed profile cache; defaults to the process-wide shared
         cache so that re-streaming identical content (or a co-resident
@@ -93,24 +96,17 @@ class TranscodingProxy:
         if chunk:
             yield chunk
 
-    @staticmethod
-    def _compensated(stream: AnnotatedStream) -> Iterator[Tuple[Frame, int, float]]:
-        """``(frame, level, gain)`` triples, compensated chunk-at-a-time.
-
-        Windows that mix frame resolutions finish through the per-frame
-        reference path (same output, just unbatched).
-        """
-        produced = 0
-        try:
-            for chunk in stream.iter_chunks():
-                for k in range(len(chunk)):
-                    yield chunk.frame(k), int(chunk.levels[k]), float(chunk.gains[k])
-                produced = chunk.stop
-        except HeterogeneousFrameError:
-            levels = stream.backlight_levels()
-            gains = stream.track.per_frame_gains()
-            for i in range(produced, stream.frame_count):
-                yield stream.compensated_frame(i).frame, int(levels[i]), float(gains[i])
+    def _windows(
+        self, frames: Iterable[Frame], fps: float, name: str
+    ) -> Iterator[AnnotatedStream]:
+        """Annotate each buffered window into its own device stream."""
+        for chunk in self._chunks(frames):
+            with trace("proxy.window"):
+                clip = VideoClip(chunk, fps=fps, name=name)
+                stream = self._pipeline.build_stream(clip, self.device)
+            self._windows_counter.inc()
+            self._frames_counter.inc(len(chunk))
+            yield stream
 
     def annotate_live(
         self, frames: Iterable[Frame], fps: float, name: str = "live"
@@ -120,17 +116,13 @@ class TranscodingProxy:
         The convenience form for in-process pipelines (no packets).
         Output frame indices are globally consecutive.
         """
-        out_index = 0
-        for chunk in self._chunks(frames):
-            with trace("proxy.window"):
-                clip = VideoClip(chunk, fps=fps, name=name)
-                stream = self._pipeline.build_stream(clip, self.device)
-            self._windows_counter.inc()
-            self._frames_counter.inc(len(chunk))
-            for frame, level, gain in self._compensated(stream):
-                frame.index = out_index
-                yield frame, level, gain
-                out_index += 1
+        offset = 0
+        for stream in self._windows(frames, fps, name):
+            for chunk in stream.iter_chunks():
+                for k in range(len(chunk)):
+                    frame = Frame(chunk.pixels[k], index=offset + chunk.start + k)
+                    yield frame, int(chunk.levels[k]), float(chunk.gains[k])
+            offset += stream.frame_count
 
     def process(
         self, frames: Iterable[Frame], fps: float, name: str = "live"
@@ -142,20 +134,17 @@ class TranscodingProxy:
         global indices, so ordering is unambiguous).
         """
         seq = 0
-        out_index = 0
-        for chunk in self._chunks(frames):
-            with trace("proxy.window"):
-                clip = VideoClip(chunk, fps=fps, name=name)
-                stream = self._pipeline.build_stream(clip, self.device)
-            self._windows_counter.inc()
-            self._frames_counter.inc(len(chunk))
+        offset = 0
+        for stream in self._windows(frames, fps, name):
             yield annotation_packet(seq, stream.track.to_bytes())
             seq += 1
-            for frame, _level, _gain in self._compensated(stream):
-                frame.index = out_index
-                yield frame_packet(seq, frame, frame_index=out_index)
-                seq += 1
-                out_index += 1
+            for chunk in stream.iter_chunks():
+                for k in range(len(chunk)):
+                    index = offset + chunk.start + k
+                    frame = Frame(chunk.pixels[k], index=index)
+                    yield frame_packet(seq, frame, frame_index=index)
+                    seq += 1
+            offset += stream.frame_count
 
     # ------------------------------------------------------------------
     def chunk_latency_s(self, fps: float) -> float:

@@ -28,7 +28,6 @@ from ..core.profile_cache import ProfileCache, shared_profile_cache
 from ..display.ambient import as_ambient_trace, bind_with_ambient_trace
 from ..display.devices import get_device
 from ..telemetry import record_event, registry as telemetry_registry, trace
-from ..video.chunks import HeterogeneousFrameError
 from ..video.clip import ClipBase
 from ..video.codec import CodecModel
 from .packets import MediaPacket, annotation_packet, frame_packet
@@ -44,11 +43,6 @@ from .session import (
 #: Small enough that the opening compensate is a few milliseconds, large
 #: enough that the per-batch overhead stays amortized.
 LEAD_CHUNK_FRAMES = 8
-
-#: Frame packets per batch when the per-frame engine feeds
-#: :meth:`MediaServer.stream_batches` (there is no natural chunk boundary
-#: to group by, so batches are cut every this many records).
-PERFRAME_BATCH_RECORDS = 32
 
 #: Compensation chunk span used by :meth:`MediaServer.stream_batches`.
 #: The in-process autotune targets float64-scratch residency and picks
@@ -455,10 +449,12 @@ class MediaServer:
                      policy=self.policy.name, device=session.device_name)
         # The cached profile's exact histograms let the stream derive
         # clipped fractions without per-chunk pixel reductions.
-        return AnnotatedStream(
+        stream = AnnotatedStream(
             clip=clip, track=bound, device=device,
             profile=self._profiles.get(session.clip_name),
         )
+        stream._perframe = resolve_engine(self.engine).kind == "perframe"
+        return stream
 
     def _head_records(self, clip_name: str) -> int:
         """Data records in a stream's head: the annotation, plus DVFS."""
@@ -530,35 +526,24 @@ class MediaServer:
 
         Frames are compensated server-side ("to reduce the load on the
         client device at runtime, the compensation of the frames ... is
-        performed at either the server or the intermediary proxy node").
-        Compensation runs chunk-at-a-time through the batched kernel —
-        each emitted frame is a zero-copy view into its chunk — and is
-        bit-identical to the per-frame reference emission (which the
-        ``"perframe"`` engine kind still uses, and which finishes the
-        stream for clips that mix frame resolutions).  Yielded packets
-        stay valid indefinitely; the wire server uses
-        :meth:`stream_batches` instead, which trades that guarantee for
-        buffer reuse and an eager first chunk.
+        performed at either the server or the intermediary proxy node")
+        by :meth:`AnnotatedStream.iter_chunks
+        <repro.core.pipeline.AnnotatedStream.iter_chunks>`, which owns
+        both the batched kernel and the per-frame path (the
+        ``"perframe"`` engine's reference emission, and clips that mix
+        frame resolutions).  This is the flattened :meth:`stream_batches`
+        loop at the autotuned chunk span, with no lead chunk and no
+        buffer reuse: each emitted frame is a zero-copy view into its
+        own chunk, so yielded packets stay valid indefinitely.
         """
         annotated, head, seq, wire_sizes = self._stream_setup(session)
-        for packet in head:
-            yield packet
-        if resolve_engine(self.engine).kind == "perframe":
-            yield from self._emit_perframe(annotated, seq, wire_sizes)
-            return
-        produced = 0
-        try:
-            for chunk in annotated.iter_chunks():
-                self._frames_streamed_counter.inc(len(chunk))
-                for k in range(len(chunk)):
-                    i = chunk.start + k
-                    wire = int(wire_sizes[i]) if wire_sizes is not None else None
-                    yield frame_packet(
-                        seq + i, chunk.frame(k), frame_index=i, wire_bytes=wire
-                    )
-                produced = chunk.stop
-        except HeterogeneousFrameError:
-            yield from self._emit_perframe(annotated, seq, wire_sizes, start=produced)
+        yield from head
+        for batch in self._emit_batches(
+            session, annotated, 0, seq, wire_sizes,
+            lead_chunk_frames=None, wire_chunk_frames=None,
+            adaptation=AdaptationControl(), reuse_output=False,
+        ):
+            yield from batch
 
     def stream_batches(
         self,
@@ -575,8 +560,10 @@ class MediaServer:
         sequence numbers), grouped for the network send path: the head
         (annotation packets) is yielded first on its own, so it can hit
         the wire while the first frame chunk is still compensating; each
-        subsequent batch is one compensated chunk's frame packets (or a
-        bounded group for the per-frame engine).  The first chunk is
+        subsequent batch is the frame packets of one chunk from
+        :meth:`AnnotatedStream.iter_chunks
+        <repro.core.pipeline.AnnotatedStream.iter_chunks>` — batched or
+        per-frame alike, so every engine groups the same way.  The first chunk is
         shrunk to ``lead_chunk_frames`` frames so time-to-first-frame is
         bounded by a small compensate, not a full chunk.  Chunks span
         ``wire_chunk_frames`` frames (``None`` falls back to the
@@ -602,7 +589,7 @@ class MediaServer:
         Every record from there on is byte-identical to the same record
         of the uninterrupted stream.
 
-        **Aliasing contract**: chunked batches compensate into a reused
+        **Aliasing contract**: batches compensate into a reused
         arena buffer, so a batch's frame payloads are only valid until
         the generator is advanced — consumers must fully encode/copy a
         batch before requesting the next.  (The wire producer copies
@@ -635,8 +622,9 @@ class MediaServer:
         lead_chunk_frames: Optional[int],
         wire_chunk_frames: Optional[int],
         adaptation: AdaptationControl,
+        reuse_output: bool = True,
     ) -> Iterator[List[MediaPacket]]:
-        """The frame-emission loop behind :meth:`stream_batches`.
+        """The frame-emission loop behind :meth:`stream_batches` and :meth:`stream`.
 
         Emits segments of the current binding's stream from ``start``,
         polling the control for live requests between chunks and for
@@ -647,6 +635,8 @@ class MediaServer:
         post-switch frames and annotation bytes match a fresh fetch at
         the new binding exactly.  ``stream`` is ``None`` on a resume: it
         is bound on first use, to the last applied switch's binding.
+        ``reuse_output=False`` compensates into fresh chunk buffers, so
+        the packets stay valid after the generator advances.
         """
         frame_count = self.get_clip(session.clip_name).frame_count
         applied = adaptation.applied
@@ -656,7 +646,6 @@ class MediaServer:
         lead = lead_chunk_frames
         # (frame, quality, ambient, live) once a switch is scheduled.
         pending: Optional[Tuple[int, float, Optional[str], bool]] = None
-        use_perframe = resolve_engine(self.engine).kind == "perframe"
 
         def retarget(req, base_quality, base_ambient):
             """A live request's binding; unset fields keep the base's."""
@@ -686,68 +675,42 @@ class MediaServer:
                     stream = self.build_stream(
                         session, quality=quality, ambient=ambient
                     )
-            if not due and not use_perframe:
-                try:
-                    for chunk in stream.iter_chunks(
-                        chunk_size=wire_chunk_frames,
-                        lead=lead,
-                        reuse_output=True,
-                        start=pos,
-                    ):
-                        lead = None
-                        if pending is None:
-                            req = adaptation.poll_request()
-                            if req is not None:
-                                pending = resolve_request(req, chunk.start)
-                        if pending is not None and chunk.start >= pending[0]:
-                            break
-                        stop = (
-                            chunk.stop if pending is None
-                            else min(chunk.stop, pending[0])
-                        )
-                        batch = []
-                        for k in range(stop - chunk.start):
-                            i = chunk.start + k
-                            wire = (
-                                int(wire_sizes[i])
-                                if wire_sizes is not None else None
-                            )
-                            batch.append(frame_packet(
-                                seq_base + i, chunk.frame(k),
-                                frame_index=i, wire_bytes=wire,
-                            ))
-                        self._frames_streamed_counter.inc(len(batch))
-                        yield batch
-                        emitted_to = stop
-                        if pending is not None and stop >= pending[0]:
-                            break
-                    else:
-                        emitted_to = frame_count
-                except HeterogeneousFrameError:
-                    use_perframe = True
-            if not due and use_perframe:
-                batch = []
-                i = emitted_to
-                while i < frame_count:
+            if not due:
+                for chunk in stream.iter_chunks(
+                    chunk_size=wire_chunk_frames,
+                    lead=lead,
+                    reuse_output=reuse_output,
+                    start=pos,
+                ):
+                    lead = None
                     if pending is None:
                         req = adaptation.poll_request()
                         if req is not None:
-                            pending = resolve_request(req, i)
-                    if pending is not None and i >= pending[0]:
+                            pending = resolve_request(req, chunk.start)
+                    if pending is not None and chunk.start >= pending[0]:
                         break
-                    wire = int(wire_sizes[i]) if wire_sizes is not None else None
-                    self._frames_streamed_counter.inc()
-                    batch.append(frame_packet(
-                        seq_base + i, stream.compensated_frame(i).frame,
-                        frame_index=i, wire_bytes=wire,
-                    ))
-                    if len(batch) >= PERFRAME_BATCH_RECORDS:
-                        yield batch
-                        batch = []
-                    i += 1
-                if batch:
+                    stop = (
+                        chunk.stop if pending is None
+                        else min(chunk.stop, pending[0])
+                    )
+                    batch = []
+                    for k in range(stop - chunk.start):
+                        i = chunk.start + k
+                        wire = (
+                            int(wire_sizes[i])
+                            if wire_sizes is not None else None
+                        )
+                        batch.append(frame_packet(
+                            seq_base + i, chunk.frame(k),
+                            frame_index=i, wire_bytes=wire,
+                        ))
+                    self._frames_streamed_counter.inc(len(batch))
                     yield batch
-                emitted_to = i
+                    emitted_to = stop
+                    if pending is not None and stop >= pending[0]:
+                        break
+                else:
+                    emitted_to = frame_count
             pos = emitted_to
             if pending is not None and pending[0] <= pos < frame_count:
                 if pending[3]:
@@ -779,17 +742,3 @@ class MediaServer:
             )
             if tail:
                 yield list(tail)
-
-    def _emit_perframe(
-        self,
-        annotated: AnnotatedStream,
-        seq: int,
-        wire_sizes,
-        start: int = 0,
-    ) -> Iterator[MediaPacket]:
-        """Reference emission: one compensated frame packet at a time."""
-        for i in range(start, annotated.frame_count):
-            compensated = annotated.compensated_frame(i).frame
-            wire = int(wire_sizes[i]) if wire_sizes is not None else None
-            self._frames_streamed_counter.inc()
-            yield frame_packet(seq + i, compensated, frame_index=i, wire_bytes=wire)

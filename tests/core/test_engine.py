@@ -332,6 +332,47 @@ class TestAnnotatedStreamEquivalence:
                 ref = reference.compensated_frame(chunk.start + k)
                 assert chunk.clipped_fractions[k] == ref.clipped_fraction
                 assert np.array_equal(chunk.frame(k).pixels, ref.frame.pixels)
+        # iter_chunks is total: a clip that switches resolution halfway
+        # finishes on the per-frame path (from any start, under any
+        # lead), and perframe-built streams take that path throughout.
+        half = library_clip.frame_count // 2
+        mixed = VideoClip(
+            [
+                Frame(f.pixels if i < half else f.pixels[:-4, :-6].copy(), index=i)
+                for i, f in enumerate(library_clip)
+            ],
+            fps=library_clip.fps,
+            name="mixed",
+        )
+        for clip in (ArrayClip.from_clip(library_clip), mixed):
+            stream, reference = self.build_streams(clip)
+            levels = reference.backlight_levels()
+            assert all(
+                not isinstance(c.pixels, np.ndarray) for c in reference.iter_chunks()
+            )
+            for candidate in (stream, reference):
+                for start, lead in (
+                    (0, None), (half - 3, None), (0, 3), (half - 5, 4), (half - 1, 3)
+                ):
+                    chunks = list(
+                        candidate.iter_chunks(chunk_size=7, lead=lead, start=start)
+                    )
+                    if lead is not None:
+                        assert len(chunks[0]) == lead
+                    assert [c.start for c in chunks] == [start] + [
+                        c.stop for c in chunks[:-1]
+                    ]
+                    assert chunks[-1].stop == clip.frame_count
+                    for chunk in chunks:
+                        for k in range(len(chunk)):
+                            i = chunk.start + k
+                            ref = reference.compensated_frame(i)
+                            assert chunk.clipped_fractions[k] == ref.clipped_fraction
+                            assert chunk.levels[k] == levels[i]
+                            assert chunk.frame(k).index == i
+                            assert np.array_equal(
+                                chunk.frame(k).pixels, ref.frame.pixels
+                            )
 
     def test_mean_clipped_fraction_matches_reference(self, library_clip):
         clip = ArrayClip.from_clip(library_clip)

@@ -335,18 +335,6 @@ class TestClientParameters:
 
 
 class TestServerParameters:
-    def test_invalid_queue_depth_rejected(self):
-        with pytest.raises(ValueError):
-            AnnotationStreamServer(
-                _media_server(_clip()), config=ServeConfig(queue_depth=0)
-            )
-
-    def test_invalid_hello_timeout_rejected(self):
-        with pytest.raises(ValueError):
-            AnnotationStreamServer(
-                _media_server(_clip()), config=ServeConfig(hello_timeout_s=0)
-            )
-
     def test_port_requires_started_server(self):
         server = AnnotationStreamServer(_media_server(_clip()))
         with pytest.raises(RuntimeError):

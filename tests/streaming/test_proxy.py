@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import AnnotationPipeline, SchemeParameters
+from repro.core import AnnotationPipeline, ProfileCache, SchemeParameters
 from repro.display import ipaq_5555
 from repro.streaming import PacketType, TranscodingProxy
+from repro.video import Frame, VideoClip
 
 
 @pytest.fixture
@@ -87,3 +88,59 @@ class TestProxyVsServer:
     def test_invalid_chunk_size(self, device, fast_params):
         with pytest.raises(ValueError):
             TranscodingProxy(device, fast_params, chunk_frames=0)
+
+
+def _mixed_frames(n=24, seed=9):
+    """Dark-ish random frames whose resolution changes mid-window."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for i in range(n):
+        shape = (12, 16, 3) if i % 12 < 6 else (8, 10, 3)
+        ceiling = 60 if i < 12 else 256
+        frames.append(Frame(rng.integers(0, ceiling, size=shape, dtype=np.uint8), index=i))
+    return frames
+
+
+class TestMixedResolution:
+    def test_live_window_matches_per_frame_reference(self, device, fast_params):
+        frames = _mixed_frames()
+        proxy = TranscodingProxy(device, fast_params, chunk_frames=12)
+        outputs = list(proxy.annotate_live(iter(frames), fps=30.0))
+        assert len(outputs) == len(frames)
+        assert any(gain > 1.0 for _f, _l, gain in outputs)
+        pipeline = AnnotationPipeline(fast_params)
+        for w in range(2):
+            window = VideoClip(frames[12 * w : 12 * (w + 1)], fps=30.0, name="live")
+            reference = pipeline.build_stream(window, device)
+            levels = reference.backlight_levels()
+            gains = reference.track.per_frame_gains()
+            for k in range(12):
+                frame, level, gain = outputs[12 * w + k]
+                assert frame.index == 12 * w + k
+                assert np.array_equal(
+                    frame.pixels, reference.compensated_frame(k).frame.pixels
+                )
+                assert level == int(levels[k])
+                assert gain == float(gains[k])
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_perframe_engine_packets_identical(self, device, fast_params, tiny_clip, mixed):
+        frames = _mixed_frames() if mixed else list(tiny_clip)
+
+        def packets(engine):
+            proxy = TranscodingProxy(
+                device, fast_params, chunk_frames=12, engine=engine,
+                profile_cache=ProfileCache(max_entries=4),
+            )
+            return list(proxy.process(iter(frames), fps=30.0))
+
+        reference, candidate = packets("perframe"), packets("chunked")
+        assert len(candidate) == len(reference)
+        for ref, got in zip(reference, candidate):
+            assert (got.ptype, got.seq) == (ref.ptype, ref.seq)
+            if ref.ptype is PacketType.ANNOTATION:
+                assert got.payload == ref.payload
+            else:
+                assert got.frame_index == ref.frame_index
+                assert got.frame.index == ref.frame.index
+                assert np.array_equal(got.frame.pixels, ref.frame.pixels)
