@@ -467,14 +467,13 @@ def cmd_fleet_status(args: argparse.Namespace) -> int:
     print(f"accepting : {'yes' if health.get('accepting') else 'no'}")
     print(f"active    : {health.get('active_sessions', 0)} session(s)")
     print(f"{'shard':<12} {'address':<22} {'alive':<6} {'state':<9} "
-          f"{'inflight':>8} {'active':>7}")
+          f"{'active':>7}")
     for shard in fleet.get("shards", []):
         address = f"{shard.get('host')}:{shard.get('port')}"
         active = shard.get("active_sessions")
         print(f"{shard.get('shard', '?'):<12} {address:<22} "
               f"{'yes' if shard.get('alive') else 'no':<6} "
               f"{str(shard.get('state')):<9} "
-              f"{shard.get('inflight', 0):>8} "
               f"{'-' if active is None else active:>7}")
     return 0 if health.get("accepting") else 1
 

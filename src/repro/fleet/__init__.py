@@ -13,7 +13,9 @@ catalog, behind a single-address asyncio router:
   every shard force-issues *portable* resume tokens.
 * :mod:`repro.fleet.router` — the L7 front door: routes hellos by clip,
   re-routes resumes on shard death (failover), spills over on
-  admission pressure, answers aggregate ``health``/``stats`` probes.
+  admission pressure, answers aggregate ``health``/``stats`` probes,
+  and hands each routed client socket to its shard (it never carries
+  session bytes).
 * :mod:`repro.fleet.coordinator` — process lifecycle: spawn workers,
   collect their bound ports, run the router, drain and reap; plus the
   chaos hook :meth:`~repro.fleet.coordinator.FleetCoordinator.kill_shard`.

@@ -8,7 +8,8 @@
    each worker reports the *actually bound* port back over its
    lifecycle pipe);
 2. start a :class:`~repro.fleet.router.FleetRouter` over the reported
-   addresses — the single address clients connect to;
+   addresses and each worker's handoff socket pair — the single address
+   clients connect to;
 3. on shutdown, close the router, ask every live worker to drain, and
    reap the processes.
 
@@ -21,12 +22,15 @@ replica shard that replays the remainder byte-identically.
 Worker processes are started with the ``fork`` start method when the
 platform offers it (cheap, inherits the imported library) and ``spawn``
 otherwise; either way the :class:`~repro.fleet.worker.WorkerSpec` must
-pickle, which is why the catalog travels as a factory function.
+pickle, which is why the catalog travels as a factory function.  The
+socket handoff (AF_UNIX ``SOCK_SEQPACKET``, SCM_RIGHTS) needs a POSIX
+host such as Linux.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import socket
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..net.config import ServeConfig
@@ -51,19 +55,27 @@ def _mp_context():
 
 
 class _Worker:
-    """One spawned shard process plus its lifecycle pipe."""
+    """One spawned shard process, its lifecycle pipe and handoff pair."""
 
     def __init__(self, spec: WorkerSpec, ctx):
         self.spec = spec
         self.conn, child_conn = ctx.Pipe()
+        #: The router's end of the handoff pair; non-blocking, so a full
+        #: pair sends the connection on to the next candidate shard.
+        self.channel, child_channel = socket.socketpair(
+            socket.AF_UNIX, socket.SOCK_SEQPACKET
+        )
+        self.channel.setblocking(False)
         self.process = ctx.Process(
             target=worker_main,
-            args=(spec, child_conn),
+            args=(spec, child_conn, child_channel),
             name=f"repro-fleet-{spec.shard_id}",
             daemon=True,
         )
         self.process.start()
+        # Only the child may hold these ends, so a SIGKILLed shard's close.
         child_conn.close()
+        child_channel.close()
         self.port: Optional[int] = None
 
     def await_ready(self, timeout_s: float) -> int:
@@ -95,6 +107,7 @@ class _Worker:
             self.process.kill()
             self.process.join(timeout_s)
         self.conn.close()
+        self.channel.close()
 
     @property
     def alive(self) -> bool:
@@ -203,7 +216,8 @@ class FleetCoordinator:
             self._teardown_workers()
             raise
         self.router = FleetRouter(
-            [(s, self.host, w.port) for s, w in self._workers.items()],
+            [(s, self.host, w.port, w.channel)
+             for s, w in self._workers.items()],
             host=self.host,
             port=self._port,
             vnodes=self.vnodes,
@@ -213,7 +227,6 @@ class FleetCoordinator:
         )
         try:
             await self.router.start()
-            await self.router.probe_shards()
         except Exception:
             self.router = None
             self._teardown_workers()
@@ -249,7 +262,7 @@ class FleetCoordinator:
         """SIGKILL one worker (chaos path); returns its pid.
 
         No drain, no goodbye: in-flight sessions on the shard die with
-        it.  The router notices on its next connect or health probe and
+        it.  The router notices on its next handoff or health probe and
         re-routes resumes to replicas.
         """
         worker = self._workers.get(shard_id)

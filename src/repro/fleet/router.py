@@ -1,20 +1,26 @@
 """Fleet front door: an asyncio L7 router over the shard servers.
 
 Clients speak the ordinary wire protocol to one address; the router
-reads each connection's *first* control packet, decides which shard
-should serve it, and then gets out of the way — the rest of the
-connection is a transparent byte relay, so the data plane stays the
-shards' fused wire path with no re-encoding in the middle.
+reads each connection's opening record (exact-size reads, so whatever
+the client pipelined behind it stays unread), decides which shard
+should serve it, and *hands the accepted socket to that shard*:
+``socket.send_fds`` (SCM_RIGHTS) over the shard's AF_UNIX
+``SOCK_SEQPACKET`` pair, with the raw record alongside.  The shard
+adopts the connection (:meth:`~repro.net.server.AnnotationStreamServer.adopt`)
+and the router closes its copy, so no session byte passes through the
+router and sessions outlive it.  Opening records over
+:data:`MAX_OPENING_RECORD_BYTES` are answered ``error``, never handed
+off.
 
 Routing policy, per first-packet kind:
 
 * ``hello`` — consistent-hash the clip name onto the ring
   (:class:`~repro.fleet.ring.HashRing`), so every session for a clip
   lands on the shard whose profile/plane caches are already warm for
-  it.  If the owner is dead or full (its last ``status`` probe reports
-  not-accepting, or the router's own in-flight count has reached the
-  shard's session cap), *spill over* to the next distinct shard in ring
-  order.
+  it.  If the owner is dead, full at its last ``status`` probe
+  (not accepting, or at its session cap) or its handoff pair is full,
+  *spill over* to the next distinct shard in ring order; the shard's own
+  retriable ``busy`` covers the gap between probes.
 * ``resume`` — shards issue **portable** resume tokens
   (:mod:`repro.net.messages`), so the router decodes the token itself,
   recovers the clip name, and walks the same preference order: the
@@ -30,24 +36,32 @@ Routing policy, per first-packet kind:
 Failure handling is deliberately *retriable*: when no shard can take a
 connection the router answers ``busy`` (clients back off and retry),
 never ``error`` (which clients treat as authoritative rejection).  A
-connect failure to a shard marks it dead immediately — faster than the
-background health loop — and the health loop later revives it when the
-``status`` probe answers again.
+failed handoff (the shard's end of the pair is closed) marks the shard
+dead immediately — faster than the background health loop — and the
+health loop later revives it when the ``status`` probe answers again;
+those probes are the router's only TCP connections to shards.
 
-Telemetry: ``fleet.route`` spans per routed connection,
-``repro_fleet_*`` gauges/counters (alive shards, per-shard in-flight
-relays, routed/spillover/failover/unroutable totals) and flight-recorder
-events for shard death, revival, spillover and failover.
+Telemetry: ``fleet.route`` spans per routed connection (up to the
+handoff), ``repro_fleet_*`` gauges/counters (alive shards,
+routed/spillover/failover/unroutable totals) and flight-recorder events
+for shard death, revival, spillover and failover.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-from dataclasses import dataclass, field
+import socket
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..net.codec import WireFormatError, encode_packet_bytes, read_packet
+from ..net.codec import (
+    WIRE_HEADER_BYTES,
+    WireFormatError,
+    decode_packet,
+    encode_packet_bytes,
+    sock_read_record,
+)
 from ..net.messages import (
     StatusInfo,
     decode_control,
@@ -58,23 +72,22 @@ from ..net.messages import (
     encode_status,
 )
 from ..telemetry import (
-    flight_events,
     record_event,
     registry as telemetry_registry,
-    snapshot as telemetry_snapshot,
-    span_events,
-    to_prometheus,
+    stats_payload,
     trace,
 )
 from .ring import HashRing
 
-__all__ = ["FleetRouter", "ShardLink"]
+__all__ = ["FleetRouter", "MAX_OPENING_RECORD_BYTES", "ShardLink"]
 
 #: Router lifecycle states mirrored from the single-server vocabulary.
 _STATE_READY = "ready"
 _STATE_STOPPED = "stopped"
 
-_RELAY_CHUNK = 1 << 16
+#: Largest opening record (header + body) the router reads and hands
+#: off in one message on a handoff pair; larger ones get ``error``.
+MAX_OPENING_RECORD_BYTES = 64 * 1024
 
 
 @dataclass
@@ -87,31 +100,28 @@ class ShardLink:
         The shard's stable name (its position on the hash ring).
     host / port:
         Where the shard's :class:`~repro.net.server.AnnotationStreamServer`
-        actually listens — the *bound* port reported by the worker, not
-        the requested one.
+        actually listens (for ``status`` probes) — the *bound* port
+        reported by the worker, not the requested one.
+    channel:
+        The router's non-blocking end of the shard's handoff pair.
     """
 
     shard_id: str
     host: str
     port: int
+    channel: socket.socket
     alive: bool = True
-    inflight: int = 0
     status: Optional[StatusInfo] = field(default=None)
 
     def accepting(self) -> bool:
-        """Best-knowledge admission headroom check for spillover.
-
-        False when the last health probe reported not-accepting, or when
-        the router itself is already relaying as many sessions into this
-        shard as the shard's advertised cap.
-        """
-        if self.status is not None:
-            if not self.status.accepting:
-                return False
-            if (self.status.max_sessions is not None
-                    and self.inflight >= self.status.max_sessions):
-                return False
-        return True
+        """Admission headroom at the last ``status`` probe (spillover check)."""
+        status = self.status
+        if status is None:
+            return True
+        return status.accepting and (
+            status.max_sessions is None
+            or status.active_sessions < status.max_sessions
+        )
 
 
 class FleetRouter:
@@ -120,8 +130,9 @@ class FleetRouter:
     Parameters
     ----------
     shards:
-        ``(shard_id, host, port)`` triples for every shard, with the
-        shard's *bound* port (workers report it after listening).
+        ``(shard_id, host, port, channel)`` for every shard: its *bound*
+        port (workers report it after listening) and the router's end of
+        its handoff pair, which the coordinator owns.
     host / port:
         Router bind address; ``port=0`` picks a free port.
     vnodes:
@@ -132,8 +143,8 @@ class FleetRouter:
         Per-probe connect+read deadline; a shard missing it is marked
         dead (until a later probe answers).
     hello_timeout_s:
-        How long a client connection may take to present its first
-        control packet.
+        How long a client connection may take to present its opening
+        record.
     busy_retry_after_s:
         Retry-after hint on ``busy`` answers when no shard is routable.
 
@@ -145,7 +156,7 @@ class FleetRouter:
 
     def __init__(
         self,
-        shards: Sequence[Tuple[str, str, int]],
+        shards: Sequence[Tuple[str, str, int, socket.socket]],
         host: str = "127.0.0.1",
         port: int = 0,
         vnodes: int = 64,
@@ -171,12 +182,14 @@ class FleetRouter:
         self.hello_timeout_s = hello_timeout_s
         self.busy_retry_after_s = busy_retry_after_s
         self._links: Dict[str, ShardLink] = {}
-        for shard_id, shard_host, shard_port in shards:
-            if shard_id in self._links:
-                raise ValueError(f"duplicate shard id {shard_id!r}")
-            self._links[shard_id] = ShardLink(shard_id, shard_host, shard_port)
+        for shard in shards:
+            link = ShardLink(*shard)
+            if link.shard_id in self._links:
+                raise ValueError(f"duplicate shard id {link.shard_id!r}")
+            self._links[link.shard_id] = link
         self.ring = HashRing(tuple(self._links), vnodes=vnodes)
-        self._server: Optional[asyncio.base_events.Server] = None
+        self._listener: Optional[socket.socket] = None
+        self._accept_task: Optional[asyncio.Task] = None
         self._health_task: Optional[asyncio.Task] = None
         self._tasks: set = set()
         self._state = _STATE_STOPPED
@@ -185,18 +198,10 @@ class FleetRouter:
             "repro_fleet_shards_alive",
             help="Shards currently believed reachable by the router.",
         )
-        self._inflight_gauges = {
-            shard_id: reg.gauge(
-                "repro_fleet_inflight_sessions",
-                help="Connections the router is currently relaying, per shard.",
-                labels={"shard": shard_id},
-            )
-            for shard_id in self._links
-        }
         self._routed_counters = {
             shard_id: reg.counter(
                 "repro_fleet_routed_sessions_total",
-                help="Connections relayed onto each shard.",
+                help="Connections handed off to each shard.",
                 labels={"shard": shard_id},
             )
             for shard_id in self._links
@@ -223,7 +228,7 @@ class FleetRouter:
     @property
     def port(self) -> int:
         """The bound port (resolved after :meth:`start` when ``port=0``)."""
-        if self._server is None:
+        if self._listener is None:
             raise RuntimeError("router is not started")
         return self._port
 
@@ -243,39 +248,44 @@ class FleetRouter:
 
     # ------------------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
-        """Bind the front door and start the health loop."""
-        if self._server is not None:
+        """Probe every shard once, bind the front door, and start the
+        accept and health loops."""
+        if self._listener is not None:
             raise RuntimeError("router is already started")
-        self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=self._port
-        )
-        self._port = self._server.sockets[0].getsockname()[1]
+        loop = asyncio.get_running_loop()
+        family, _, _, _, address = (await loop.getaddrinfo(
+            self.host, self._port, type=socket.SOCK_STREAM
+        ))[0]
+        self._listener = socket.create_server(address, family=family)
+        self._listener.setblocking(False)
+        self._port = self._listener.getsockname()[1]
+        await self.probe_shards()
         self._state = _STATE_READY
+        self._accept_task = asyncio.ensure_future(self._accept_loop())
         self._health_task = asyncio.ensure_future(self._health_loop())
         return self.address
 
     async def close(self) -> None:
-        """Stop the front door: cancel relays and the health loop."""
-        if self._health_task is not None:
-            self._health_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._health_task
-            self._health_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._tasks):
+        """Stop accepting, probing and reading opening records.
+
+        Sessions already handed off belong to their shards and run on.
+        """
+        tasks = [t for t in (self._accept_task, self._health_task) if t]
+        tasks += self._tasks
+        for task in tasks:
             task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
+        await asyncio.gather(*tasks, return_exceptions=True)
+        self._accept_task = self._health_task = None
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None
         self._state = _STATE_STOPPED
 
     async def serve_forever(self) -> None:
         """Block routing sessions until cancelled (used by ``repro serve``)."""
-        if self._server is None:
+        if self._listener is None:
             await self.start()
-        await self._server.serve_forever()
+        await self._accept_task
 
     async def __aenter__(self) -> "FleetRouter":
         """Start on ``async with`` entry."""
@@ -291,8 +301,8 @@ class FleetRouter:
     # ------------------------------------------------------------------
     async def _health_loop(self) -> None:
         while True:
-            await self.probe_shards()
             await asyncio.sleep(self.health_interval_s)
+            await self.probe_shards()
 
     async def probe_shards(self) -> Dict[str, bool]:
         """Probe every shard's ``status`` once; returns shard → alive.
@@ -314,14 +324,12 @@ class FleetRouter:
                 self._mark_alive(link)
 
         await asyncio.gather(*(probe(l) for l in self._links.values()))
-        self._alive_gauge.set(
-            sum(1 for l in self._links.values() if l.alive)
-        )
         return {s: l.alive for s, l in self._links.items()}
 
     def _mark_dead(self, link: ShardLink, reason: str) -> None:
         if link.alive:
             link.alive = False
+            self._alive_gauge.dec()
             record_event("fleet_shard_down", shard=link.shard_id,
                          port=link.port, reason=reason)
         link.status = None
@@ -329,6 +337,7 @@ class FleetRouter:
     def _mark_alive(self, link: ShardLink) -> None:
         if not link.alive:
             link.alive = True
+            self._alive_gauge.inc()
             record_event("fleet_shard_up", shard=link.shard_id,
                          port=link.port)
 
@@ -372,7 +381,6 @@ class FleetRouter:
                     "host": link.host,
                     "port": link.port,
                     "alive": link.alive,
-                    "inflight": link.inflight,
                     "active_sessions": (
                         link.status.active_sessions if link.status else None
                     ),
@@ -392,90 +400,61 @@ class FleetRouter:
         include_spans: bool = False,
         limit: Optional[int] = None,
     ) -> dict:
-        """The router's answer to a ``stats`` probe.
-
-        Same shape as the single server's
-        :meth:`~repro.net.server.AnnotationStreamServer.stats_snapshot`
-        (``format`` selects json/prometheus metrics, ``include_events``
-        / ``include_spans`` attach the flight tail and spans, ``limit``
-        caps both), plus a ``fleet`` section with per-shard bound
-        ports, liveness and load.
-        """
-        if format not in ("json", "prometheus"):
-            raise ValueError(f"unknown stats format {format!r}")
-        payload: dict = {
-            "format": format,
-            "health": self.healthz(),
-            "fleet": self.fleet_snapshot(),
-        }
-        if format == "prometheus":
-            payload["prometheus"] = to_prometheus()
-        else:
-            payload["metrics"] = telemetry_snapshot()
-        if include_events:
-            payload["events"] = flight_events(
-                limit=limit if limit is not None else 128
-            )
-        if include_spans:
-            payload["spans"] = span_events(
-                limit=limit if limit is not None else 512
-            )
+        """The router's answer to a ``stats`` probe: the shared
+        :func:`~repro.telemetry.stats_payload` around :meth:`healthz`, plus
+        a ``fleet`` section (:meth:`fleet_snapshot`)."""
+        payload = stats_payload(self.healthz(), format, include_events,
+                                include_spans, limit)
+        payload["fleet"] = self.fleet_snapshot()
         return payload
 
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    async def _handle(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
+    async def _accept_loop(self) -> None:
+        loop = asyncio.get_running_loop()
+        while True:
+            try:
+                sock, _ = await loop.sock_accept(self._listener)
+            except OSError:  # aborted handshake or fd exhaustion: keep going
+                await asyncio.sleep(0.05)
+                continue
+            task = loop.create_task(self._handle(sock))
             self._tasks.add(task)
-        try:
-            await self._handle_connection(reader, writer)
-        except asyncio.CancelledError:
-            # Router shutdown cancels in-flight relays; the finally
-            # blocks have already closed both sockets, so complete
-            # quietly instead of tripping asyncio's noisy
-            # cancelled-handler logging.
-            await self._hangup(writer)
-        finally:
-            if task is not None:
-                self._tasks.discard(task)
+            task.add_done_callback(self._tasks.discard)
 
-    async def _handle_connection(self, reader, writer) -> None:
+    async def _handle(self, sock: socket.socket) -> None:
+        """Route one accepted connection, then drop the router's copy
+        (after a handoff the shard holds its own, so the session lives)."""
         try:
-            first = await asyncio.wait_for(
-                read_packet(reader), timeout=self.hello_timeout_s
+            await self._handle_connection(sock)
+        finally:
+            sock.close()
+
+    async def _handle_connection(self, sock: socket.socket) -> None:
+        try:
+            raw = await asyncio.wait_for(
+                sock_read_record(sock, max_body_bytes=(
+                    MAX_OPENING_RECORD_BYTES - WIRE_HEADER_BYTES
+                )),
+                timeout=self.hello_timeout_s,
             )
-        except (asyncio.TimeoutError, WireFormatError, OSError):
-            await self._hangup(writer)
-            return
-        if first is None:
-            await self._hangup(writer)
-            return
-        try:
-            message = decode_control(first)
+            if raw is None:
+                return
+            message = decode_control(decode_packet(raw))
         except WireFormatError as exc:
-            with contextlib.suppress(ConnectionError, OSError):
-                writer.write(encode_packet_bytes(encode_error(str(exc), seq=0)))
-                await writer.drain()
-            await self._hangup(writer)
+            await self._answer(sock, encode_error(str(exc), seq=0))
+            return
+        except (asyncio.TimeoutError, OSError):
             return
         if message.kind == "health":
             self._probe_counter.inc()
-            await self._answer_health(writer)
+            await self._answer(sock, encode_status(seq=0, **self.healthz()))
             return
         if message.kind == "stats":
             self._probe_counter.inc()
-            payload = self.stats_snapshot(
-                format=message.stats.format,
-                include_events=message.stats.include_events,
-                include_spans=message.stats.include_spans,
-                limit=message.stats.limit,
-            )
-            with contextlib.suppress(ConnectionError, OSError):
-                writer.write(encode_packet_bytes(encode_statsdump(payload, seq=0)))
-                await writer.drain()
-            await self._hangup(writer)
+            payload = self.stats_snapshot(**asdict(message.stats))
+            await self._answer(sock, encode_statsdump(payload, seq=0))
             return
         if message.kind == "hello":
             clip = message.hello.clip_name
@@ -483,30 +462,19 @@ class FleetRouter:
             info = decode_portable_token(message.resume.token)
             clip = info.clip_name if info is not None else None
         else:
-            with contextlib.suppress(ConnectionError, OSError):
-                writer.write(encode_packet_bytes(encode_error(
-                    f"unroutable first message kind {message.kind!r}", seq=0
-                )))
-                await writer.drain()
-            await self._hangup(writer)
+            await self._answer(sock, encode_error(
+                f"unroutable first message kind {message.kind!r}", seq=0
+            ))
             return
-        await self._route(message.kind, clip, encode_packet_bytes(first),
-                          reader, writer)
+        await self._route(message.kind, clip, raw, sock)
 
-    async def _answer_health(self, writer) -> None:
-        health = self.healthz()
-        with contextlib.suppress(ConnectionError, OSError):
-            writer.write(encode_packet_bytes(encode_status(
-                state=health["state"],
-                accepting=health["accepting"],
-                active_sessions=health["active_sessions"],
-                waiting_sessions=health["waiting_sessions"],
-                max_sessions=health["max_sessions"],
-                resumable_sessions=health["resumable_sessions"],
-                seq=0,
-            )))
-            await writer.drain()
-        await self._hangup(writer)
+    @staticmethod
+    async def _answer(sock: socket.socket, packet) -> None:
+        """Send the router's own one-record answer (best effort)."""
+        with contextlib.suppress(OSError):
+            await asyncio.get_running_loop().sock_sendall(
+                sock, encode_packet_bytes(packet)
+            )
 
     def _candidates(self, clip: Optional[str]) -> Iterable[str]:
         """Shard preference order for ``clip`` (ring order when unknown).
@@ -519,7 +487,7 @@ class FleetRouter:
             return self.ring.preference(clip)
         return self.ring.shards
 
-    async def _route(self, kind, clip, raw, reader, writer) -> None:
+    async def _route(self, kind, clip, raw: bytes, sock: socket.socket) -> None:
         owner: Optional[str] = None
         with trace("fleet.route", tags={"kind": kind, "clip": clip}):
             for shard_id in self._candidates(clip):
@@ -531,17 +499,13 @@ class FleetRouter:
                 if kind == "hello" and not link.accepting():
                     continue
                 try:
-                    shard_reader, shard_writer = await asyncio.wait_for(
-                        asyncio.open_connection(link.host, link.port),
-                        timeout=self.probe_timeout_s,
-                    )
-                except (OSError, asyncio.TimeoutError):
+                    socket.send_fds(link.channel, [raw], [sock.fileno()])
+                except BlockingIOError:
+                    continue  # the shard's handoff queue is full
+                except OSError:
                     # Faster than waiting for the health loop: a shard
-                    # refusing connections is dead right now.
-                    self._mark_dead(link, reason="connect")
-                    self._alive_gauge.set(
-                        sum(1 for l in self._links.values() if l.alive)
-                    )
+                    # whose end of the pair is closed is dead right now.
+                    self._mark_dead(link, reason="handoff")
                     continue
                 if shard_id != owner:
                     if kind == "resume":
@@ -553,72 +517,13 @@ class FleetRouter:
                         record_event("fleet_spillover", shard=shard_id,
                                      owner=owner, clip=clip)
                 self._routed_counters[shard_id].inc()
-                await self._relay(link, raw, reader, writer,
-                                  shard_reader, shard_writer)
                 return
         # No routable shard: shed retriably, exactly like a saturated
         # single server — clients back off and try again.
         self._unroutable_counter.inc()
         record_event("fleet_unroutable", request=kind, clip=clip)
-        with contextlib.suppress(ConnectionError, OSError):
-            writer.write(encode_packet_bytes(encode_busy(
-                retry_after_s=self.busy_retry_after_s,
-                active_sessions=sum(
-                    l.inflight for l in self._links.values()
-                ),
-                seq=0,
-            )))
-            await writer.drain()
-        await self._hangup(writer)
-
-    async def _relay(self, link, raw, client_reader, client_writer,
-                     shard_reader, shard_writer) -> None:
-        """Forward ``raw`` then pump bytes both ways until either side ends."""
-        link.inflight += 1
-        self._inflight_gauges[link.shard_id].inc()
-        try:
-            shard_writer.write(raw)
-            await shard_writer.drain()
-            upstream = asyncio.ensure_future(
-                self._pump(client_reader, shard_writer)
-            )
-            downstream = asyncio.ensure_future(
-                self._pump(shard_reader, client_writer)
-            )
-            try:
-                done, pending = await asyncio.wait(
-                    {upstream, downstream},
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    await asyncio.gather(*pending, return_exceptions=True)
-            finally:
-                for task in (upstream, downstream):
-                    task.cancel()
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            link.inflight -= 1
-            self._inflight_gauges[link.shard_id].dec()
-            await self._hangup(shard_writer)
-            await self._hangup(client_writer)
-
-    @staticmethod
-    async def _pump(src_reader, dst_writer) -> None:
-        try:
-            while True:
-                data = await src_reader.read(_RELAY_CHUNK)
-                if not data:
-                    break
-                dst_writer.write(data)
-                await dst_writer.drain()
-        except (ConnectionError, OSError):
-            pass
-
-    @staticmethod
-    async def _hangup(writer) -> None:
-        with contextlib.suppress(ConnectionError, OSError):
-            writer.close()
-            await writer.wait_closed()
+        await self._answer(sock, encode_busy(
+            retry_after_s=self.busy_retry_after_s,
+            active_sessions=self.healthz()["active_sessions"],
+            seq=0,
+        ))

@@ -22,18 +22,25 @@ each shard picks its own free port — the parent learns the real one
 here), then blocks until the parent sends ``"stop"`` (graceful: drain,
 then close) or dies (pipe EOF, same path).  Chaos tests and real crashes
 skip the protocol entirely: the coordinator SIGKILLs the process and the
-router's health loop notices.
+router notices on its next handoff or health probe.
+
+Sessions arrive on the shard's end of the router's handoff pair: each
+message is one client socket (SCM_RIGHTS) plus the opening record the
+router already read, which the server adopts
+(:meth:`~repro.net.server.AnnotationStreamServer.adopt`).
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..net.config import ServeConfig
 from ..net.server import AnnotationStreamServer
 from ..streaming.server import MediaServer
+from .router import MAX_OPENING_RECORD_BYTES
 
 __all__ = ["WorkerSpec"]
 
@@ -75,16 +82,16 @@ class WorkerSpec:
         return base.replace(portable_tokens=True)
 
 
-def worker_main(spec: WorkerSpec, conn) -> None:
+def worker_main(spec: WorkerSpec, conn, channel: socket.socket) -> None:
     """Child-process entry point: serve ``spec`` until told to stop.
 
-    ``conn`` is the child end of a :class:`multiprocessing.Pipe`; the
-    protocol is described in the module docstring.  Never raises — a
-    failure to build or bind is reported as ``("error", message)`` and
-    the process exits.
+    ``conn`` is the child end of a :class:`multiprocessing.Pipe`,
+    ``channel`` the shard's end of the handoff pair (both described in
+    the module docstring).  Never raises — a failure to build or bind
+    is reported as ``("error", message)`` and the process exits.
     """
     try:
-        asyncio.run(_serve(spec, conn))
+        asyncio.run(_serve(spec, conn, channel))
     except Exception as exc:  # noqa: BLE001 - report, don't traceback-spam
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -92,16 +99,33 @@ def worker_main(spec: WorkerSpec, conn) -> None:
             pass
     finally:
         conn.close()
+        channel.close()
 
 
-async def _serve(spec: WorkerSpec, conn) -> None:
+def _take_handoff(server: AnnotationStreamServer, channel: socket.socket) -> None:
+    """Adopt the client socket of one handoff message, if one is ready."""
+    try:
+        record, fds, _, _ = socket.recv_fds(channel, MAX_OPENING_RECORD_BYTES, 1)
+    except BlockingIOError:
+        return
+    except OSError:
+        record, fds = b"", []
+    if fds:
+        server.adopt(socket.socket(fileno=fds[0]), record)
+    elif not record:  # the router's end is gone: nothing more will arrive
+        asyncio.get_running_loop().remove_reader(channel.fileno())
+
+
+async def _serve(spec: WorkerSpec, conn, channel: socket.socket) -> None:
     media = spec.catalog_factory()
     server = AnnotationStreamServer(
         media, host=spec.host, port=spec.port, config=spec.effective_config()
     )
     await server.start()
-    conn.send(("ready", server.port))
     loop = asyncio.get_running_loop()
+    channel.setblocking(False)
+    loop.add_reader(channel.fileno(), _take_handoff, server, channel)
+    conn.send(("ready", server.port))
     try:
         while True:
             try:
@@ -111,6 +135,9 @@ async def _serve(spec: WorkerSpec, conn) -> None:
             if command == "stop":
                 break
     finally:
+        # Further handoffs now fail at the router, which routes elsewhere.
+        loop.remove_reader(channel.fileno())
+        channel.close()
         await server.drain()
         await server.close()
     try:

@@ -36,6 +36,7 @@ crash or a hang.
 from __future__ import annotations
 
 import asyncio
+import socket
 import struct
 import zlib
 from dataclasses import dataclass
@@ -251,6 +252,38 @@ def decode_packet(data: Union[bytes, memoryview]) -> MediaPacket:
             f"{len(body) - head.body_len} trailing bytes after the record"
         )
     return _build_packet(head, body)
+
+
+async def sock_read_record(
+    sock: socket.socket, max_body_bytes: int = MAX_BODY_BYTES
+) -> Optional[bytes]:
+    """Read exactly one raw record off a non-blocking socket.
+
+    Never reads past the record (header, then exactly its body), so
+    bytes pipelined behind it stay in the kernel for whoever serves the
+    socket next.  ``None`` on EOF before the first byte;
+    :class:`WireFormatError` on truncation, a bad header or a body over
+    ``max_body_bytes``.
+    """
+    loop = asyncio.get_running_loop()
+    record = bytearray()
+    size = WIRE_HEADER_BYTES
+    while len(record) < size:
+        chunk = await loop.sock_recv(sock, size - len(record))
+        if not chunk:
+            if not record:
+                return None
+            raise WireFormatError(
+                f"connection closed mid-record ({len(record)} of {size} bytes)"
+            )
+        record += chunk
+        if len(record) == WIRE_HEADER_BYTES:
+            body_len = _parse_header(record).body_len
+            if body_len > max_body_bytes:
+                raise WireFormatError(f"body length {body_len} exceeds "
+                                      f"the {max_body_bytes}-byte limit")
+            size += body_len
+    return bytes(record)
 
 
 async def read_packet(

@@ -1,6 +1,7 @@
 """`AnnotationStreamServer`: annotated streams over real asyncio TCP.
 
-Hosts many concurrent sessions on one ``asyncio.start_server`` socket.
+Hosts many concurrent sessions on one ``asyncio.start_server`` socket,
+plus connections the fleet router hands over (:meth:`~AnnotationStreamServer.adopt`).
 Each connection runs the wire protocol::
 
     client                          server
@@ -73,9 +74,10 @@ import contextlib
 import contextvars
 import queue as queue_mod
 import secrets
+import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -86,11 +88,8 @@ from ..streaming.session import NegotiationError, SessionDescription
 from ..telemetry import (
     emit_span,
     record_event,
-    flight_events,
     registry as telemetry_registry,
-    snapshot as telemetry_snapshot,
-    span_events,
-    to_prometheus,
+    stats_payload,
     trace,
     trace_context,
 )
@@ -328,40 +327,10 @@ class AnnotationStreamServer:
         include_spans: bool = False,
         limit: Optional[int] = None,
     ) -> dict:
-        """The live-observability payload answered to a ``stats`` probe.
-
-        Parameters
-        ----------
-        format:
-            ``json`` embeds the full metrics snapshot dict under
-            ``metrics``; ``prometheus`` embeds the text exposition under
-            ``prometheus``.
-        include_events:
-            Also attach the flight-recorder tail under ``events``.
-        include_spans:
-            Also attach collected span events under ``spans``.
-        limit:
-            Cap on attached events/spans (defaults: 128 events,
-            512 spans).
-
-        Always includes the :meth:`healthz` dict under ``health``.
-        """
-        if format not in ("json", "prometheus"):
-            raise ValueError(f"unknown stats format {format!r}")
-        payload: dict = {"format": format, "health": self.healthz()}
-        if format == "prometheus":
-            payload["prometheus"] = to_prometheus()
-        else:
-            payload["metrics"] = telemetry_snapshot()
-        if include_events:
-            payload["events"] = flight_events(
-                limit=limit if limit is not None else 128
-            )
-        if include_spans:
-            payload["spans"] = span_events(
-                limit=limit if limit is not None else 512
-            )
-        return payload
+        """The payload answered to a ``stats`` probe: the shared
+        :func:`~repro.telemetry.stats_payload` around :meth:`healthz`."""
+        return stats_payload(self.healthz(), format, include_events,
+                             include_spans, limit)
 
     async def start(self) -> Tuple[str, int]:
         """Bind the listening socket; returns the resolved address."""
@@ -889,29 +858,15 @@ class AnnotationStreamServer:
                           request: StatsRequest) -> None:
         """Answer a stats probe with the observability snapshot."""
         self._stats_counter.inc()
-        payload = self.stats_snapshot(
-            format=request.format,
-            include_events=request.include_events,
-            include_spans=request.include_spans,
-            limit=request.limit,
-        )
+        payload = self.stats_snapshot(**asdict(request))
         with contextlib.suppress(ConnectionError, OSError):
             await self._send(writer, encode_statsdump(payload, seq=0))
 
     async def _send_status(self, writer: asyncio.StreamWriter) -> None:
         """Answer a health probe with the current status snapshot."""
         self._health_counter.inc()
-        health = self.healthz()
         with contextlib.suppress(ConnectionError, OSError):
-            await self._send(writer, encode_status(
-                state=health["state"],
-                accepting=health["accepting"],
-                active_sessions=health["active_sessions"],
-                waiting_sessions=health["waiting_sessions"],
-                max_sessions=health["max_sessions"],
-                resumable_sessions=health["resumable_sessions"],
-                seq=0,
-            ))
+            await self._send(writer, encode_status(seq=0, **self.healthz()))
 
     async def _read_first(self, reader, writer):
         """Read and decode the connection's opening control message."""
@@ -1014,6 +969,33 @@ class AnnotationStreamServer:
                      clip=session.clip_name, quality=session.quality,
                      device=session.device_name)
         return session, self._register_token(session), 0, ()
+
+    def adopt(self, sock: socket.socket, record: bytes) -> "asyncio.Task":
+        """Serve a connection accepted elsewhere, as if accepted here.
+
+        ``record`` is the raw opening record already read off ``sock``,
+        where anything the client sent after it is still unread; the
+        fleet router hands connections to shards this way.  Returns the
+        connection's task (:meth:`drain` / :meth:`close` manage it).
+        """
+        task = asyncio.ensure_future(self._adopt(sock, record))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        return task
+
+    async def _adopt(self, sock: socket.socket, record: bytes) -> None:
+        loop = asyncio.get_running_loop()
+        # The record goes in first, so the stream reads exactly what the
+        # client sent, in order.
+        reader = asyncio.StreamReader()
+        reader.feed_data(record)
+        protocol = asyncio.StreamReaderProtocol(reader)
+        transport, _ = await loop.connect_accepted_socket(
+            lambda: protocol, sock
+        )
+        await self._handle(
+            reader, asyncio.StreamWriter(transport, protocol, reader, loop)
+        )
 
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()

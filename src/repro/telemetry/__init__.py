@@ -77,6 +77,7 @@ from .export import (
     parse_prometheus,
     registry_from_snapshot,
     snapshot,
+    stats_payload,
     to_jsonl,
     to_prometheus,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "flight_events",
     "clear_flight_events",
     "snapshot",
+    "stats_payload",
     "metric_to_dict",
     "to_jsonl",
     "from_jsonl",

@@ -12,6 +12,8 @@ Two machine formats plus a human table:
   exists for grammar validation and round-trip tests, not scraping.
 * :func:`format_table` — the ``--stats`` rendering: spans first, then
   counters, gauges and histograms.
+* :func:`stats_payload` — the answer to a wire ``stats`` probe, shared
+  by the single server and the fleet router.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .metrics import (
     MetricsRegistry,
     registry as _global_registry,
 )
-from .tracing import SPAN_SECONDS
+from .flight import flight_events
+from .tracing import SPAN_SECONDS, span_events
 
 
 def _reg(reg: Optional[MetricsRegistry]) -> MetricsRegistry:
@@ -64,6 +67,37 @@ def metric_to_dict(metric: Metric) -> Dict:
 def snapshot(registry: Optional[MetricsRegistry] = None) -> Dict:
     """The whole registry as one JSON-serializable dict."""
     return {"metrics": [metric_to_dict(m) for m in _reg(registry).metrics()]}
+
+
+def stats_payload(
+    health: Dict,
+    format: str = "json",
+    include_events: bool = False,
+    include_spans: bool = False,
+    limit: Optional[int] = None,
+) -> Dict:
+    """The answer to a wire ``stats`` probe, around a ``health`` dict.
+
+    Metrics as :func:`snapshot` (``json``) or :func:`to_prometheus`
+    text; optionally the flight-recorder tail and collected spans,
+    ``limit`` capping both (default 128 events, 512 spans).
+    """
+    if format not in ("json", "prometheus"):
+        raise ValueError(f"unknown stats format {format!r}")
+    payload: Dict = {"format": format, "health": health}
+    if format == "prometheus":
+        payload["prometheus"] = to_prometheus()
+    else:
+        payload["metrics"] = snapshot()
+    if include_events:
+        payload["events"] = flight_events(
+            limit=limit if limit is not None else 128
+        )
+    if include_spans:
+        payload["spans"] = span_events(
+            limit=limit if limit is not None else 512
+        )
+    return payload
 
 
 def to_jsonl(registry: Optional[MetricsRegistry] = None) -> str:

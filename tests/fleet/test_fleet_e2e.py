@@ -12,10 +12,15 @@ the acceptance path of the fleet tentpole:
 * killing a shard mid-stream re-routes the portable resume token to the
   replica, which replays the remainder byte-identically;
 * with no routable shard the router answers ``busy`` (retriable), never
-  a fabricated authoritative error.
+  a fabricated authoritative error;
+* the router hands each routed socket to its shard and keeps nothing:
+  sessions outlive the router, bytes pipelined behind the opening
+  record reach the shard, and an opening record too large to hand off
+  is answered ``error`` by the router itself.
 """
 
 import asyncio
+import contextlib
 
 import numpy as np
 import pytest
@@ -23,16 +28,28 @@ import pytest
 from repro.api import fetch_stream, server_stats
 from repro.core import ProfileCache, SchemeParameters
 from repro.fleet import FleetCoordinator
-from repro.net import FetchOptions, decode_portable_token, encode_packet_bytes
+from repro.fleet.router import MAX_OPENING_RECORD_BYTES
+from repro.net import (
+    AnnotationStreamServer,
+    FetchOptions,
+    ServeConfig,
+    decode_portable_token,
+    encode_packet_bytes,
+)
 from repro.net.codec import read_packet
-from repro.net.messages import decode_control, encode_hello, encode_resume
+from repro.net.messages import (
+    decode_control,
+    encode_hello,
+    encode_requality,
+    encode_resume,
+)
 from repro.streaming import (
     ClientCapabilities,
     MediaServer,
     PacketType,
     SessionRequest,
 )
-from repro.telemetry import registry
+from repro.telemetry import flight_events, registry
 from repro.video import ArrayClip
 
 FAST_PARAMS = SchemeParameters(quality=0.05, min_scene_interval_frames=5)
@@ -59,8 +76,27 @@ def _fleet_catalog():
     return server
 
 
-def _reference(clip_name):
-    media = _fleet_catalog()
+#: A stream far larger than every socket buffer between shard and
+#: client (~14 MB), so it cannot already sit in them when the router
+#: goes away.  Its cold profiling pass (~0.2 s) also keeps the first
+#: frame chunk well behind a requality pipelined with the hello, so the
+#: request lands at the first boundary on every server.
+BIG_CLIP = ("delta", 60, (240, 320))
+
+
+def _big_catalog():
+    """Picklable catalog factory serving :data:`BIG_CLIP` only."""
+    server = MediaServer(params=FAST_PARAMS)
+    name, frames, (height, width) = BIG_CLIP
+    pixels = np.random.default_rng(4).integers(
+        0, 256, size=(frames, height, width, 3), dtype=np.uint8
+    )
+    server.add_clip(ArrayClip(pixels, fps=24.0, name=name))
+    return server
+
+
+def _reference(clip_name, catalog=_fleet_catalog):
+    media = catalog()
     request = SessionRequest(clip_name, QUALITY, ClientCapabilities(DEVICE))
     return list(media.stream(media.open_session(request)))
 
@@ -81,23 +117,55 @@ def _counter(name):
     return 0 if metric is None else metric.value
 
 
+def _routed_total():
+    return sum(m.value for m in registry().metrics()
+               if m.name == "repro_fleet_routed_sessions_total")
+
+
 def _options():
     return FetchOptions(backoff_base_s=0.01, backoff_max_s=0.2, jitter_s=0.0)
 
 
-async def _drain_stream(reader):
-    """Read media packets until the server's ``end`` control packet."""
+async def _drain_stream(reader, controls=None):
+    """Read media packets until the server's ``end`` control packet.
+
+    Other in-stream control messages are appended to ``controls`` when
+    it is given.
+    """
     packets = []
     while True:
         packet = await asyncio.wait_for(read_packet(reader), timeout=15.0)
         if packet is None:
             break
         if packet.ptype is PacketType.CONTROL:
-            if decode_control(packet).kind == "end":
+            message = decode_control(packet)
+            if message.kind == "end":
                 break
+            if controls is not None:
+                controls.append(message)
             continue
         packets.append(packet)
     return packets
+
+
+async def _open(host, port, *messages):
+    """Connect and send ``messages`` in one write (pipelined)."""
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(b"".join(encode_packet_bytes(m) for m in messages))
+    await writer.drain()
+    return reader, writer
+
+
+async def _read_control(reader):
+    packet = await asyncio.wait_for(read_packet(reader), timeout=15.0)
+    assert packet is not None, "connection closed before a control answer"
+    return decode_control(packet)
+
+
+async def _hangup(writer):
+    writer.close()
+    with contextlib.suppress(ConnectionError):
+        await writer.wait_closed()
 
 
 def test_fleet_streams_byte_identical_to_direct():
@@ -212,26 +280,124 @@ def test_refetch_after_kill_spills_over_to_replica():
 
 
 def test_no_routable_shard_answers_busy_not_error():
-    """With every shard dead the router must answer retriable busy."""
+    """With every shard dead the router must answer retriable busy.
+
+    The health loop is slowed so the deaths are discovered by the
+    handoff itself: sending the socket to a shard whose end of the pair
+    is closed marks that shard dead on the spot.
+    """
+
+    async def run():
+        async with FleetCoordinator(_fleet_catalog, shards=2,
+                                    health_interval_s=60.0) as fleet:
+            for shard_id in fleet.shard_ids():
+                fleet.kill_shard(shard_id)
+            request = SessionRequest(
+                "alpha", QUALITY, ClientCapabilities(DEVICE)
+            )
+            reader, writer = await _open(*fleet.address,
+                                         encode_hello(request))
+            message = await _read_control(reader)
+            await _hangup(writer)
+            return message, fleet.shard_ids()
+
+    message, shard_ids = asyncio.run(run())
+    assert message.kind == "busy"
+    assert message.busy.retry_after_s > 0
+    assert _counter("repro_fleet_unroutable_total") >= 1
+    down = {e["shard"] for e in flight_events("fleet_shard_down")
+            if e.get("reason") == "handoff"}
+    assert down == set(shard_ids)
+
+
+def test_sessions_outlive_the_router():
+    """After the handoff the router holds no task, socket or counter
+    for the session: closing the router mid-stream leaves the stream to
+    finish on its shard, byte-identical."""
+    name = BIG_CLIP[0]
+    reference = _reference(name, catalog=_big_catalog)
+
+    async def run():
+        async with FleetCoordinator(_big_catalog, shards=2,
+                                    health_interval_s=0.2) as fleet:
+            request = SessionRequest(name, QUALITY, ClientCapabilities(DEVICE))
+            reader, writer = await _open(*fleet.address,
+                                         encode_hello(request))
+            assert (await _read_control(reader)).kind == "session"
+            head = []
+            while len(head) < 3:
+                packet = await asyncio.wait_for(read_packet(reader),
+                                                timeout=15.0)
+                if packet.ptype is not PacketType.CONTROL:
+                    head.append(packet)
+            await fleet.router.close()
+            tail = await _drain_stream(reader)
+            await _hangup(writer)
+            return head + tail
+
+    _assert_streams_identical(asyncio.run(run()), reference)
+
+
+def test_pipelined_requality_survives_the_handoff():
+    """A requality written together with the hello reaches the shard.
+
+    The router reads exactly the opening record, so the requality stays
+    unread on the socket it hands off.  The fleet session applies the
+    same switch, with the same packets, as a direct server given the
+    same two messages in one write.
+    """
+    request = SessionRequest(BIG_CLIP[0], QUALITY, ClientCapabilities(DEVICE))
+    opening = (encode_hello(request), encode_requality(quality=0.2))
+
+    async def fetch(host, port):
+        reader, writer = await _open(host, port, *opening)
+        assert (await _read_control(reader)).kind == "session"
+        controls = []
+        packets = await _drain_stream(reader, controls)
+        await _hangup(writer)
+        acks = [(m.requality.frame, m.requality.quality, m.requality.applied)
+                for m in controls if m.kind == "requality"]
+        return packets, acks
+
+    async def run():
+        async with FleetCoordinator(_big_catalog, shards=2,
+                                    health_interval_s=0.2) as fleet:
+            routed = await fetch(*fleet.address)
+        direct_config = ServeConfig(portable_tokens=True)
+        async with AnnotationStreamServer(_big_catalog(),
+                                          config=direct_config) as server:
+            direct = await fetch(*server.address)
+        return routed, direct
+
+    (packets, acks), (direct_packets, direct_acks) = asyncio.run(run())
+    assert len(acks) == 1 and acks[0][1:] == (0.2, True)
+    assert acks == direct_acks
+    _assert_streams_identical(packets, direct_packets)
+
+
+def test_oversized_opening_record_answered_by_the_router():
+    """An opening record too large for one handoff message gets
+    ``error`` from the router: no hang, and no shard ever sees it."""
+    huge = "x" * MAX_OPENING_RECORD_BYTES
+    request = SessionRequest(huge, QUALITY, ClientCapabilities(DEVICE))
 
     async def run():
         async with FleetCoordinator(_fleet_catalog, shards=2,
                                     health_interval_s=0.2) as fleet:
-            for shard_id in fleet.shard_ids():
-                fleet.kill_shard(shard_id)
-            reader, writer = await asyncio.open_connection(*fleet.address)
-            request = SessionRequest(
-                "alpha", QUALITY, ClientCapabilities(DEVICE)
-            )
-            writer.write(encode_packet_bytes(encode_hello(request)))
-            await writer.drain()
-            message = decode_control(
-                await asyncio.wait_for(read_packet(reader), timeout=15.0)
-            )
-            writer.close()
-            return message
+            before = _routed_total()
+            reader, writer = await _open(*fleet.address,
+                                         encode_hello(request))
+            message = await _read_control(reader)
+            try:
+                after = await asyncio.wait_for(read_packet(reader),
+                                               timeout=15.0)
+            except ConnectionResetError:
+                after = None  # closed with the unread body still pending
+            await _hangup(writer)
+            return message, after, _routed_total() - before
 
-    message = asyncio.run(run())
-    assert message.kind == "busy"
-    assert message.busy.retry_after_s > 0
-    assert _counter("repro_fleet_unroutable_total") >= 1
+    message, after, routed = asyncio.run(run())
+    assert message.kind == "error"
+    assert str(MAX_OPENING_RECORD_BYTES - 32) in message.error
+    assert after is None  # the router hung up after its answer
+    assert routed == 0
