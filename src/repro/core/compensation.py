@@ -138,6 +138,30 @@ def gain_lut(gain: float) -> Tuple[np.ndarray, int]:
     return entry
 
 
+def _apply_lut(
+    lut: np.ndarray, pixels: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Write ``lut[pixels]`` for a uint8 batch into ``out``, frame by frame.
+
+    ``lut`` is a 256-entry uint8 table and ``pixels`` a uint8 array whose
+    leading axis is frames; ``out`` (allocated when omitted) matches
+    ``pixels``' shape and is returned.  Each frame goes through
+    ``bytearray.translate``, a C loop over bytes and a 256-byte table:
+    the same lookup as ``np.take`` without widening every uint8 index to
+    an 8-byte intp first, and one GIL hold per frame rather than per
+    chunk.  Non-contiguous frames are made contiguous before the copy.
+    """
+    if out is None:
+        out = np.empty(pixels.shape, dtype=np.uint8)
+    table = lut.tobytes()
+    for k in range(pixels.shape[0]):
+        frame = np.ascontiguousarray(pixels[k])
+        out[k] = np.frombuffer(
+            bytearray(frame).translate(table), dtype=np.uint8
+        ).reshape(frame.shape)
+    return out
+
+
 class ChunkArena:
     """A reusable uint8 output buffer for batched compensation.
 
@@ -196,8 +220,10 @@ def contrast_enhancement_batch(
     copy of the chunk (24 bytes per pixel) and running the normalize →
     scale → clip → quantize sequence per pixel, each distinct gain's
     mapping is precomputed once into a 256-entry uint8 LUT
-    (:func:`gain_lut`) and pixels are gathered through it — the float
-    math runs 256 times per gain instead of once per channel sample.
+    (:func:`gain_lut`) and each frame is looked up through it with
+    ``bytearray.translate`` — the float math runs 256 times per gain
+    instead of once per channel sample, and the lookup never widens the
+    uint8 pixels to intp indices the way ``np.take`` does.
     Clipped fractions come from the peak channel against the LUT's clip
     code, which selects exactly the pixels the float path flags (the
     gain scale is monotone per byte code).
@@ -223,10 +249,10 @@ def contrast_enhancement_batch(
         equal what the kernel would compute (e.g. derived from the
         profiling pass's exact peak-channel histograms, as
         :class:`~repro.core.pipeline.AnnotatedStream` does).  This keeps
-        the hot loop down to pure LUT gathers, which matters under
-        thread contention: the gather holds the GIL while the large
-        reduction ufuncs release and reacquire it around every op,
-        inviting preemption mid-chunk.
+        the hot loop down to pure per-frame LUT lookups, which matters
+        under thread contention: each lookup holds the GIL for one frame
+        while the large reduction ufuncs release and reacquire it around
+        every op, inviting preemption mid-chunk.
 
     Returns
     -------
@@ -257,7 +283,7 @@ def contrast_enhancement_batch(
         fractions = np.zeros(n)
         compute_fractions = True
     # Gains are per-scene, so equal-gain frames form contiguous runs;
-    # each run is one LUT gather plus one peak-channel reduction.
+    # each run is one LUT lookup plus one peak-channel reduction.
     lo = 0
     while lo < n:
         hi = lo + 1
@@ -269,7 +295,7 @@ def contrast_enhancement_batch(
             out[lo:hi] = run
         else:
             lut, clip_code = gain_lut(gain)
-            np.take(lut, run, out=out[lo:hi])
+            _apply_lut(lut, run, out[lo:hi])
             if compute_fractions and clip_code <= int(MAX_CHANNEL):
                 # Chained np.maximum over the channel views — same idiom
                 # (and same speedup) as FrameChunk.peak_channel_u8.

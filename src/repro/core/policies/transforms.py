@@ -13,7 +13,7 @@ stack uses: :meth:`PixelTransform.apply_batch` for the chunked engines
 alongside) and :meth:`PixelTransform.apply_frame` for the per-frame
 reference path.  All transforms are elementwise per *frame*, so a batch
 may be split at any frame boundary without changing the output — the
-property the chunked/threads/processes engines rely on.
+property the chunked engine relies on.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 from ...video.frame import Frame, MAX_CHANNEL
 from ..compensation import (
     CompensationResult,
+    _apply_lut,
     contrast_enhancement,
     contrast_enhancement_batch,
 )
@@ -128,15 +129,16 @@ class LutTransform(PixelTransform):
         """Look one frame up through the tone curve."""
         pixels = frame.pixels
         fraction = float((pixels.max(axis=-1) > self.clip_code).mean())
+        looked_up = _apply_lut(self.lut, pixels[None])[0]
         return CompensationResult(
-            frame=Frame(self.lut[pixels], index=frame.index),
+            frame=Frame(looked_up, index=frame.index),
             clipped_fraction=fraction,
         )
 
     def apply_batch(self, pixels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Look a whole batch up through the tone curve."""
         pixels = _check_batch(pixels)
-        return self.lut[pixels], self.batch_clipped_fractions(pixels)
+        return _apply_lut(self.lut, pixels), self.batch_clipped_fractions(pixels)
 
     def batch_clipped_fractions(self, pixels: np.ndarray) -> np.ndarray:
         """Fractions from peak-channel codes above the clip point."""

@@ -41,8 +41,9 @@ _PLANE_CACHE_SEQ = itertools.count(1)
 DEFAULT_CHUNK_SIZE = 64
 
 #: Byte budget the chunk-size autotuner aims a chunk's float64 working set
-#: at.  The dominant transient is the ``(N, H, W, 3)`` float64 scratch of
-#: batched compensation (24 bytes per pixel); 24 MiB keeps that scratch
+#: at.  The dominant transient is the luminance pass of profiling
+#: (:meth:`FrameChunk.luminance`: a float64 plane, a float64 partial sum
+#: and ``np.take``'s intp indices, 24 bytes per pixel); 24 MiB keeps it
 #: comfortably inside a desktop L3 / small-container RSS while still
 #: amortizing numpy dispatch over hundreds of frames at QVGA sizes.
 DEFAULT_CHUNK_TARGET_BYTES = 24 << 20
@@ -92,8 +93,8 @@ def autotune_chunk_size(
 ) -> int:
     """Pick a chunk span from frame geometry instead of a fixed constant.
 
-    Sizes the chunk so the batched float64 working set (24 bytes per RGB
-    pixel: the compensation scratch, the largest transient on the hot
+    Sizes the chunk so the batched float64 working set (24 bytes per
+    pixel: the profiling luminance pass, the largest transient on the hot
     path) stays near ``target_bytes``.  Small frames get long chunks
     (more amortization), large frames get short ones (bounded memory);
     the result is clamped to ``[MIN_AUTOTUNE_CHUNK, MAX_AUTOTUNE_CHUNK]``.
@@ -102,7 +103,7 @@ def autotune_chunk_size(
         raise ValueError(f"frame geometry must be positive, got {height}x{width}")
     if target_bytes < 1:
         raise ValueError(f"target_bytes must be positive, got {target_bytes}")
-    per_frame = height * width * 3 * 8  # float64 RGB scratch per frame
+    per_frame = height * width * 3 * 8  # 24 bytes per pixel, see above
     n = max(1, target_bytes // per_frame)
     return int(min(MAX_AUTOTUNE_CHUNK, max(MIN_AUTOTUNE_CHUNK, n)))
 

@@ -241,6 +241,68 @@ class TestGainLut:
             contrast_enhancement_batch(pixels, 1.5, fractions=np.zeros(3))
 
 
+class TestLutKernelEdgeCases:
+    """Layouts and sizes the per-frame LUT lookup must get right."""
+
+    def _batch(self, n=6, h=10, w=8, seed=5):
+        rng = np.random.default_rng(seed)
+        return rng.integers(0, 256, size=(n, h, w, 3), dtype=np.uint8)
+
+    def _assert_matches_reference(self, pixels, gains, out=None):
+        from repro.core import (
+            contrast_enhancement_batch,
+            contrast_enhancement_batch_reference,
+        )
+
+        got_px, got_fr = contrast_enhancement_batch(pixels, gains, out=out)
+        ref_px, ref_fr = contrast_enhancement_batch_reference(pixels, gains)
+        assert np.array_equal(got_px, ref_px)
+        assert np.array_equal(got_fr, ref_fr)
+        assert got_px.flags.writeable
+        assert not np.shares_memory(got_px, pixels)
+        if out is not None:
+            assert got_px is out
+        return got_px
+
+    def test_non_contiguous_inputs(self):
+        pixels = self._batch()
+        gains = np.array([1.0, 1.6, 1.6, 0.8, 2.5, 2.5])
+        for view in (pixels[:, ::-1], pixels[:, ::2, 1:], pixels[..., ::-1]):
+            assert not view.flags.c_contiguous
+            self._assert_matches_reference(view, gains)
+        # Frame-strided: every frame is contiguous, the batch is not.
+        self._assert_matches_reference(pixels[::2], gains[::2])
+
+    def test_out_from_an_arena_larger_than_the_request(self):
+        from repro.core import ChunkArena
+
+        arena = ChunkArena()
+        big = arena.request((16, 12, 10, 3))
+        big[:] = 7
+        pixels = self._batch(n=5)
+        gains = np.array([1.3, 1.3, 1.0, 4.0, 0.5])
+        out = arena.request(pixels.shape)
+        assert out.base is big.base and out.size < big.size
+        self._assert_matches_reference(pixels, gains, out=out)
+        # Bytes past the request are untouched.
+        assert np.all(big.reshape(-1)[out.size:] == 7)
+
+    def test_zero_and_one_frame_batches(self):
+        pixels = self._batch(n=1)
+        for gain in (0.9, 1.0, 2.2):
+            self._assert_matches_reference(pixels, gain)
+            self._assert_matches_reference(pixels[:0], gain)
+        got = self._assert_matches_reference(pixels[:0], np.full(0, 1.5))
+        assert got.shape == (0, 10, 8, 3)
+
+    def test_passthrough_runs_between_gained_runs(self):
+        pixels = self._batch(n=9)
+        gains = np.array([1.0, 0.7, 1.9, 1.9, 1.0, 1.0, 3.1, 0.2, 1.9])
+        got = self._assert_matches_reference(pixels, gains)
+        for k in np.flatnonzero(gains <= 1.0):
+            assert np.array_equal(got[k], pixels[k])
+
+
 class TestChunkArena:
     def test_reuses_buffer_for_equal_or_smaller_requests(self):
         from repro.core import ChunkArena

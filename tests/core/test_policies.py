@@ -166,6 +166,47 @@ class TestHebsPolicy:
             HebsPolicy().transform_for_scene(bad)
 
 
+class TestLutTransformLookup:
+    """``LutTransform`` is pinned byte for byte to ``lut[pixels]``."""
+
+    @staticmethod
+    def _transform(seed):
+        rng = np.random.default_rng(seed)
+        lut = np.sort(rng.integers(0, 256, size=256)).astype(np.uint8)
+        return LutTransform(lut, clip_code=int(rng.integers(0, 256)))
+
+    def test_apply_batch_matches_fancy_index_oracle(self):
+        from repro.video import Frame
+
+        rng = np.random.default_rng(41)
+        for seed in range(4):
+            transform = self._transform(seed)
+            pixels = rng.integers(0, 256, size=(5, 12, 9, 3), dtype=np.uint8)
+            for view in (pixels, pixels[:, ::-1], pixels[::2, 1::3, :, ::-1]):
+                got, fractions = transform.apply_batch(view)
+                assert np.array_equal(got, transform.lut[view])
+                assert got.flags.writeable
+                assert not np.shares_memory(got, pixels)
+                assert np.array_equal(
+                    fractions, transform.batch_clipped_fractions(view)
+                )
+                for k in range(view.shape[0]):
+                    result = transform.apply_frame(Frame(view[k], index=k))
+                    assert np.array_equal(
+                        result.frame.pixels, transform.lut[view[k]]
+                    )
+                    assert result.frame.index == k
+                    assert result.clipped_fraction == fractions[k]
+
+    def test_empty_batch(self):
+        transform = self._transform(0)
+        got, fractions = transform.apply_batch(
+            np.zeros((0, 4, 4, 3), dtype=np.uint8)
+        )
+        assert got.shape == (0, 4, 4, 3)
+        assert fractions.shape == (0,)
+
+
 class TestSpatialScalingPolicy:
     def test_payload_records_the_scale(self, profiled):
         profile, params = profiled

@@ -125,3 +125,37 @@ def test_readme_links_adaptation_and_benchmarks():
     readme = (REPO_ROOT / "README.md").read_text()
     assert "docs/adaptation.md" in readme
     assert "docs/benchmarks.md" in readme
+
+
+def _bench(name):
+    import json
+
+    return json.loads((REPO_ROOT / "benchmarks" / "results" / name).read_text())
+
+
+def test_lut_speedup_quoted_from_bench_engine():
+    """Doc-number drift gate: the LUT compensate figures in DESIGN.md §13
+    and docs/architecture.md are the ones ``BENCH_engine.json`` records,
+    at the printed precision.  Re-recording the benchmark without
+    re-quoting the docs fails here."""
+    bench = _bench("BENCH_engine.json")["compensate_only"]
+    speedup = f"{bench['lut_speedup_vs_float']:.2f}"
+    float_ms = f"{bench['float_seconds'] * 1e3:.2f}"
+    lut_ms = f"{bench['lut_seconds'] * 1e3:.2f}"
+
+    design = " ".join((REPO_ROOT / "DESIGN.md").read_text().split())
+    quoted = re.search(
+        r"the LUT kernel runs \*\*([\d.]+)×\*\* the float path "
+        r"\(([\d.]+) ms → ([\d.]+) ms per (\d+)-frame batch", design
+    )
+    assert quoted, "DESIGN.md §13 lost its quoted LUT speedup"
+    assert quoted.groups() == (
+        speedup, float_ms, lut_ms, str(bench["chunk_frames"])
+    )
+
+    architecture = " ".join(
+        (REPO_ROOT / "docs" / "architecture.md").read_text().split()
+    )
+    quoted = re.search(r"([\d.]+)× the float kernel", architecture)
+    assert quoted, "docs/architecture.md lost its quoted LUT speedup"
+    assert quoted.group(1) == speedup

@@ -132,6 +132,55 @@ class TestCompensationProperties:
         assert np.array_equal(lut_px, ref_px)
         assert np.array_equal(lut_fr, ref_fr)
 
+    @given(
+        arrays(
+            dtype=np.uint8,
+            shape=st.tuples(
+                st.integers(0, 6), st.integers(1, 9), st.integers(1, 9),
+                st.just(3),
+            ),
+            elements=st.integers(0, 255),
+        ),
+        st.lists(
+            st.one_of(st.floats(0.1, 1.0), st.sampled_from([1.25, 2.5]),
+                      st.floats(1.0, 20.0)),
+            min_size=6, max_size=6,
+        ),
+        st.sampled_from(["whole", "reversed_rows", "strided_cols", "bgr"]),
+        st.booleans(),
+    )
+    @settings(deadline=None)
+    def test_lut_batch_layouts_bit_identical_to_float_reference(
+        self, pixels, gains, layout, use_arena
+    ):
+        """The LUT kernel matches the float reference on strided views,
+        empty batches, passthrough runs and oversized arena outputs, and
+        its result is writable memory that never aliases the input."""
+        from repro.core import (
+            ChunkArena,
+            contrast_enhancement_batch,
+            contrast_enhancement_batch_reference,
+        )
+
+        view = {
+            "whole": pixels,
+            "reversed_rows": pixels[:, ::-1],
+            "strided_cols": pixels[:, :, ::2],
+            "bgr": pixels[..., ::-1],
+        }[layout]
+        g = np.array(gains[: view.shape[0]])
+        out = None
+        if use_arena:
+            arena = ChunkArena()
+            arena.request((view.shape[0] + 2,) + view.shape[1:])
+            out = arena.request(view.shape)
+        lut_px, lut_fr = contrast_enhancement_batch(view, g, out=out)
+        ref_px, ref_fr = contrast_enhancement_batch_reference(view, g)
+        assert np.array_equal(lut_px, ref_px)
+        assert np.array_equal(lut_fr, ref_fr)
+        assert lut_px.flags.writeable
+        assert not np.shares_memory(lut_px, pixels)
+
 
 # ---------------------------------------------------------------------------
 # Histograms
