@@ -5,18 +5,15 @@ Every CI run regenerates ``benchmarks/results/BENCH_*.json`` and
 baseline — but neither shows the *trajectory*.  This tool walks the git
 history of each committed baseline file (``git log`` + ``git show``),
 extracts the gated metrics (plus a few observability extras such as
-time-to-first-frame and deadline-miss fraction), and renders:
-
-* ``docs/benchmarks.md`` — a static markdown dashboard (sparkline per
-  metric, first/min/max/last columns) meant to be committed alongside
-  code changes;
-* ``benchmarks/results/dashboard.html`` — the same data as a standalone
-  HTML artifact with inline SVG trend lines, uploaded by CI.
+time-to-first-frame and deadline-miss fraction), and renders them as
+``benchmarks/results/dashboard.html``: a standalone HTML page with an
+inline SVG trend line and first/min/max/last columns per metric, which
+CI uploads as an artifact.
 
 Only the standard library and git are used.  Usage::
 
     python benchmarks/dashboard.py [--ref HEAD] [--max-commits 40]
-        [--markdown docs/benchmarks.md] [--html results/dashboard.html]
+        [--html results/dashboard.html]
 """
 
 from __future__ import annotations
@@ -44,8 +41,6 @@ EXTRA_KEYS = {
 }
 
 CHARTED_KEYS = QUALITY_KEYS | RATE_KEYS | EXTRA_KEYS
-
-SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 
 
 def _git(*args: str) -> subprocess.CompletedProcess:
@@ -117,25 +112,6 @@ def collect_history(relpath: str, ref: str, limit: Optional[int]):
     return labels, series
 
 
-def sparkline(values: List[Optional[float]]) -> str:
-    """A unicode block sparkline; gaps render as spaces."""
-    present = [v for v in values if v is not None]
-    if not present:
-        return ""
-    lo, hi = min(present), max(present)
-    span = hi - lo
-    chars = []
-    for value in values:
-        if value is None:
-            chars.append(" ")
-        elif span <= 0:
-            chars.append(SPARK_BLOCKS[3])
-        else:
-            idx = int((value - lo) / span * (len(SPARK_BLOCKS) - 1))
-            chars.append(SPARK_BLOCKS[idx])
-    return "".join(chars)
-
-
 def _fmt(value: Optional[float]) -> str:
     if value is None:
         return "—"
@@ -146,48 +122,6 @@ def _fmt(value: Optional[float]) -> str:
     if abs(value) >= 1:
         return f"{value:.3g}"
     return f"{value:.4g}"
-
-
-def render_markdown(histories) -> str:
-    """The ``docs/benchmarks.md`` dashboard text."""
-    lines = [
-        "# Benchmark trends",
-        "",
-        "Metric trajectories across the committed `BENCH_*.json` baselines",
-        "(one column step per commit that touched the file, oldest to",
-        "newest).  Regenerate with `python benchmarks/dashboard.py` after",
-        "committing fresh baselines; CI uploads the HTML twin",
-        "(`dashboard.html`) as an artifact.  The one-step regression gate",
-        "lives in [trend_check.py](../benchmarks/trend_check.py).",
-        "",
-    ]
-    for name, (labels, series) in histories:
-        lines.append(f"## {name}")
-        lines.append("")
-        if not labels:
-            lines.append("_No committed baselines yet._")
-            lines.append("")
-            continue
-        first_sha, first_date = labels[0]
-        last_sha, last_date = labels[-1]
-        lines.append(
-            f"{len(labels)} baseline commit(s), "
-            f"`{first_sha}` ({first_date}) → `{last_sha}` ({last_date})."
-        )
-        lines.append("")
-        lines.append("| metric | trend | first | min | max | last |")
-        lines.append("|---|---|---:|---:|---:|---:|")
-        for path, values in series.items():
-            present = [v for v in values if v is not None]
-            if not present:
-                continue
-            lines.append(
-                f"| `{path}` | `{sparkline(values)}` "
-                f"| {_fmt(present[0])} | {_fmt(min(present))} "
-                f"| {_fmt(max(present))} | {_fmt(present[-1])} |"
-            )
-        lines.append("")
-    return "\n".join(lines) + "\n"
 
 
 def _svg_polyline(values: List[Optional[float]],
@@ -273,12 +207,9 @@ def main(argv=None) -> int:
                         help="git ref whose history is walked (default HEAD)")
     parser.add_argument("--max-commits", type=int, default=40,
                         help="newest N baseline commits per file (default 40)")
-    parser.add_argument("--markdown",
-                        default=os.path.join(REPO_ROOT, "docs", "benchmarks.md"),
-                        help="markdown output path ('' skips)")
     parser.add_argument("--html",
                         default=os.path.join(RESULTS_DIR, "dashboard.html"),
-                        help="HTML output path ('' skips)")
+                        help="HTML output path")
     args = parser.parse_args(argv)
 
     names = sorted(
@@ -294,16 +225,10 @@ def main(argv=None) -> int:
         histories.append((name, collect_history(relpath, args.ref,
                                                 args.max_commits)))
 
-    if args.markdown:
-        os.makedirs(os.path.dirname(args.markdown), exist_ok=True)
-        with open(args.markdown, "w") as fh:
-            fh.write(render_markdown(histories))
-        print(f"dashboard markdown -> {args.markdown}")
-    if args.html:
-        os.makedirs(os.path.dirname(args.html), exist_ok=True)
-        with open(args.html, "w") as fh:
-            fh.write(render_html(histories))
-        print(f"dashboard html -> {args.html}")
+    os.makedirs(os.path.dirname(args.html), exist_ok=True)
+    with open(args.html, "w") as fh:
+        fh.write(render_html(histories))
+    print(f"dashboard html -> {args.html}")
     return 0
 
 

@@ -41,7 +41,7 @@ SAVINGS_FLOOR = 0.10
 #: Live switches only land while production is still in flight, so the
 #: producer is paced record-by-record against the client's reads.
 PACED = ServeConfig(
-    portable_tokens=True, queue_depth=1, batch_records=1, batch_bytes=1
+    queue_depth=1, batch_records=1, batch_bytes=1
 )
 
 

@@ -8,8 +8,8 @@ Subcommands map to the library's main workflows, all routed through the
 * ``savings``   — backlight + total-device savings for one clip;
 * ``sweep``     — the Figure 9 table (clips x quality levels);
 * ``serve``     — host library clips on an asyncio TCP stream server
-  (admission control via ``--max-sessions``/``--accept-queue``, session
-  resume via ``--resume-window``, graceful drain via ``--drain-timeout``);
+  (admission control via ``--max-sessions``/``--accept-queue``, graceful
+  drain via ``--drain-timeout``);
   with ``--shards N`` it runs a sharded multi-process fleet instead —
   N worker servers behind one consistent-hash router address — and
   prints every shard's actually-bound port;
@@ -323,7 +323,6 @@ def _serve_config(args: argparse.Namespace) -> ServeConfig:
         queue_depth=args.queue_depth,
         max_sessions=args.max_sessions,
         accept_queue=args.accept_queue,
-        resume_window_s=args.resume_window,
         drain_timeout_s=args.drain_timeout,
         ambient=args.ambient,
     )
@@ -492,7 +491,6 @@ def cmd_status(args: argparse.Namespace) -> int:
     print(f"accepting         : {'yes' if status.accepting else 'no'}")
     print(f"active sessions   : {status.active_sessions} (cap {cap})")
     print(f"waiting sessions  : {status.waiting_sessions}")
-    print(f"resumable sessions: {status.resumable_sessions}")
     return 0 if status.accepting else 1
 
 
@@ -752,9 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "before being shed with BUSY")
     p.add_argument("--drain-timeout", type=float, default=10.0,
                    help="graceful-drain deadline on shutdown, in seconds")
-    p.add_argument("--resume-window", type=float, default=60.0,
-                   help="seconds a dropped session stays resumable "
-                        "(0 disables resume tokens)")
     p.add_argument("--ambient", default=None, metavar="SPEC",
                    help="serve-time ambient: a preset name (office), an "
                         "illuminance in lux, or a light-sensor trace "

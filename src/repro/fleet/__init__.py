@@ -9,8 +9,7 @@ catalog, behind a single-address asyncio router:
 * :mod:`repro.fleet.ring` — consistent-hash ring: clip → shard with
   stable placement (cache warmth) and ~1/N movement on resize.
 * :mod:`repro.fleet.worker` — the shard process: a picklable
-  :class:`~repro.fleet.worker.WorkerSpec` plus the child entry point;
-  every shard force-issues *portable* resume tokens.
+  :class:`~repro.fleet.worker.WorkerSpec` plus the child entry point.
 * :mod:`repro.fleet.router` — the L7 front door: routes hellos by clip,
   re-routes resumes on shard death (failover), spills over on
   admission pressure, answers aggregate ``health``/``stats`` probes,
@@ -21,9 +20,10 @@ catalog, behind a single-address asyncio router:
   chaos hook :meth:`~repro.fleet.coordinator.FleetCoordinator.kill_shard`.
 
 Failover needs no replication protocol: annotated streams are
-deterministic functions of (clip, quality, device), so a portable resume
-token (:mod:`repro.net.messages`) is all the state a replica needs to
-continue a dead shard's session byte-identically.
+deterministic functions of (clip, quality, device, switch plan), so the
+resume token every server issues (:mod:`repro.net.messages`) is all the
+state a replica needs to continue a dead shard's session
+byte-identically.
 
 Entry points: ``repro serve --shards N`` runs a fleet from the CLI,
 ``repro fleet status`` prints a running fleet's topology, and

@@ -128,8 +128,8 @@ class FleetCoordinator:
     shards:
         How many worker processes to run.  Must be >= 1.
     config:
-        :class:`~repro.net.config.ServeConfig` applied to every shard
-        (``portable_tokens`` is forced on).  ``None`` uses defaults.
+        :class:`~repro.net.config.ServeConfig` applied to every shard.
+        ``None`` uses defaults.
     host:
         Interface for the router and every shard.
     port:

@@ -10,7 +10,9 @@ adopts the connection (:meth:`~repro.net.server.AnnotationStreamServer.adopt`)
 and the router closes its copy, so no session byte passes through the
 router and sessions outlive it.  Opening records over
 :data:`MAX_OPENING_RECORD_BYTES` are answered ``error``, never handed
-off.
+off; after any ``error`` the router shuts down its write side and
+discards what the client still sends (bounded), so the client reads
+the answer and a clean EOF rather than a reset.
 
 Routing policy, per first-packet kind:
 
@@ -21,13 +23,15 @@ Routing policy, per first-packet kind:
   (not accepting, or at its session cap) or its handoff pair is full,
   *spill over* to the next distinct shard in ring order; the shard's own
   retriable ``busy`` covers the gap between probes.
-* ``resume`` — shards issue **portable** resume tokens
+* ``resume`` — a resume token is the portable encoding of the session
   (:mod:`repro.net.messages`), so the router decodes the token itself,
   recovers the clip name, and walks the same preference order: the
   owner if it is still alive, otherwise a replica.  The replica has
   never seen the session, but the token carries everything needed to
   rebuild it over the shared deterministic catalog, and the replay is
-  byte-identical — this is the fleet's failover path.
+  byte-identical — this is the fleet's failover path.  A token the
+  router cannot decode no shard could honor either, so the router
+  answers ``error`` itself.
 * ``health`` / ``stats`` — answered by the router itself: an aggregate
   readiness snapshot, or a ``statsdump`` whose ``fleet`` section lists
   every shard's bound port, liveness and load (what ``repro fleet
@@ -35,7 +39,8 @@ Routing policy, per first-packet kind:
 
 Failure handling is deliberately *retriable*: when no shard can take a
 connection the router answers ``busy`` (clients back off and retry),
-never ``error`` (which clients treat as authoritative rejection).  A
+never ``error`` (which clients treat as authoritative rejection, and
+the router sends only for requests no shard could serve).  A
 failed handoff (the shard's end of the pair is closed) marks the shard
 dead immediately — faster than the background health loop — and the
 health loop later revives it when the ``status`` probe answers again;
@@ -53,12 +58,13 @@ import asyncio
 import contextlib
 import socket
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..net.codec import (
     WIRE_HEADER_BYTES,
     WireFormatError,
     decode_packet,
+    discard_input,
     encode_packet_bytes,
     sock_read_record,
 )
@@ -368,7 +374,6 @@ class FleetRouter:
             "active_sessions": sum(s.active_sessions for s in statuses),
             "waiting_sessions": sum(s.waiting_sessions for s in statuses),
             "max_sessions": max_sessions,
-            "resumable_sessions": sum(s.resumable_sessions for s in statuses),
         }
 
     def fleet_snapshot(self) -> dict:
@@ -443,7 +448,7 @@ class FleetRouter:
                 return
             message = decode_control(decode_packet(raw))
         except WireFormatError as exc:
-            await self._answer(sock, encode_error(str(exc), seq=0))
+            await self._reject(sock, str(exc))
             return
         except (asyncio.TimeoutError, OSError):
             return
@@ -460,11 +465,14 @@ class FleetRouter:
             clip = message.hello.clip_name
         elif message.kind == "resume":
             info = decode_portable_token(message.resume.token)
-            clip = info.clip_name if info is not None else None
+            if info is None:
+                await self._reject(sock, "undecodable resume token")
+                return
+            clip = info.clip_name
         else:
-            await self._answer(sock, encode_error(
-                f"unroutable first message kind {message.kind!r}", seq=0
-            ))
+            await self._reject(
+                sock, f"unroutable first message kind {message.kind!r}"
+            )
             return
         await self._route(message.kind, clip, raw, sock)
 
@@ -476,21 +484,28 @@ class FleetRouter:
                 sock, encode_packet_bytes(packet)
             )
 
-    def _candidates(self, clip: Optional[str]) -> Iterable[str]:
-        """Shard preference order for ``clip`` (ring order when unknown).
+    async def _reject(self, sock: socket.socket, reason: str) -> None:
+        """Answer ``error``, then let the client finish before the close.
 
-        ``clip`` is None for resumes whose token the router cannot
-        decode (an opaque token from outside the fleet): any live shard
-        will answer those authoritatively.
+        The write side is shut down first, so the client reads the
+        answer and a clean EOF; then what the client still sends (the
+        rest of an oversized record, say) is discarded, bounded by
+        :data:`~repro.net.codec.DISCARD_LIMIT_BYTES` and
+        ``hello_timeout_s``, so the close sends no reset.
         """
-        if clip is not None:
-            return self.ring.preference(clip)
-        return self.ring.shards
+        await self._answer(sock, encode_error(reason, seq=0))
+        loop = asyncio.get_running_loop()
+        with contextlib.suppress(OSError, asyncio.TimeoutError):
+            sock.shutdown(socket.SHUT_WR)
+            await asyncio.wait_for(
+                discard_input(lambda n: loop.sock_recv(sock, n)),
+                timeout=self.hello_timeout_s,
+            )
 
     async def _route(self, kind, clip, raw: bytes, sock: socket.socket) -> None:
         owner: Optional[str] = None
         with trace("fleet.route", tags={"kind": kind, "clip": clip}):
-            for shard_id in self._candidates(clip):
+            for shard_id in self.ring.preference(clip):
                 if owner is None:
                     owner = shard_id
                 link = self._links[shard_id]

@@ -4,17 +4,15 @@ A shard is an ordinary wire server over its own copy of the catalog.
 Because the catalog is a deterministic function of the clips — and the
 clips themselves are deterministic (synthetic generators, archives) —
 every shard built from the same :class:`WorkerSpec` serves byte-
-identical streams, which is what makes failover trivial: there is no
-shard-local state worth replicating.
+identical streams, which is what makes failover trivial: a shard keeps
+no session state (its resume tokens carry the whole session, see
+:mod:`repro.net.messages`), so there is nothing to replicate and any
+shard honors any shard's tokens.
 
 The spec crosses the process boundary by pickling, so the catalog
 travels as a zero-argument *factory* (a module-level function or
 ``functools.partial``), not as live clip objects: the child calls it
-once to build its :class:`~repro.streaming.server.MediaServer`.  The
-worker forces ``portable_tokens=True`` regardless of the spec's config —
-portable resume tokens are the fleet's failover mechanism
-(:mod:`repro.net.messages`), so a shard must never issue a token only it
-can honor.
+once to build its :class:`~repro.streaming.server.MediaServer`.
 
 Lifecycle runs over a :class:`multiprocessing.Pipe`: the child reports
 ``("ready", bound_port)`` once listening (``port=0`` in the spec means
@@ -34,7 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..net.config import ServeConfig
@@ -67,19 +65,14 @@ class WorkerSpec:
         report it back through the lifecycle pipe.
     config:
         The shard's :class:`~repro.net.config.ServeConfig`.  ``None``
-        uses the defaults.  ``portable_tokens`` is forced on either way.
+        uses the defaults.
     """
 
     shard_id: str
     catalog_factory: Callable[[], MediaServer]
     host: str = "127.0.0.1"
     port: int = 0
-    config: Optional[ServeConfig] = field(default=None)
-
-    def effective_config(self) -> ServeConfig:
-        """The spec's config with ``portable_tokens`` forced on."""
-        base = self.config if self.config is not None else ServeConfig()
-        return base.replace(portable_tokens=True)
+    config: Optional[ServeConfig] = None
 
 
 def worker_main(spec: WorkerSpec, conn, channel: socket.socket) -> None:
@@ -119,7 +112,7 @@ def _take_handoff(server: AnnotationStreamServer, channel: socket.socket) -> Non
 async def _serve(spec: WorkerSpec, conn, channel: socket.socket) -> None:
     media = spec.catalog_factory()
     server = AnnotationStreamServer(
-        media, host=spec.host, port=spec.port, config=spec.effective_config()
+        media, host=spec.host, port=spec.port, config=spec.config
     )
     await server.start()
     loop = asyncio.get_running_loop()

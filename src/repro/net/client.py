@@ -15,8 +15,8 @@ failure mode maps to a recovery path:
   retry loop becomes a *reconnect-with-resume* state machine: the next
   attempt presents the token plus the count of records already received
   and continues from that offset instead of starting over.  If the
-  server rejects the token (window expired, restart), the client falls
-  back to a fresh fetch.  Annotated streams are deterministic, so a
+  server rejects the token (it does not decode, or names content the
+  server cannot serve), the client falls back to a fresh fetch.  Annotated streams are deterministic, so a
   resumed stream is byte-identical to an uninterrupted one.
 
 Attempts back off exponentially with jitter (seedable for deterministic
@@ -570,7 +570,7 @@ class AsyncMobileClient:
         """Fold a mid-stream ``requality`` acknowledgement into progress.
 
         An applied ack updates the resume token (the server re-issues
-        portable tokens embedding the switch plan) and the adaptive
+        the token with the switch plan embedded) and the adaptive
         state's authoritative quality/ambient, and confirms the fields of
         the outstanding request it matches — an unconfirmed request is
         sent again after a resume; a rejected ack (no scene boundary
@@ -690,7 +690,7 @@ class AsyncMobileClient:
                 except NegotiationError:
                     raise  # authoritative rejection; retrying cannot help
                 except _ResumeRejected:
-                    # Token expired or the server restarted: start over.
+                    # The server cannot honor the token: start over.
                     progress.reset()
                     last_error = StreamProtocolError(
                         "server refused the resume token; refetching"

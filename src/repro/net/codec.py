@@ -41,7 +41,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from time import perf_counter
-from typing import List, Optional, Union
+from typing import Awaitable, Callable, List, Optional, Union
 
 import numpy as np
 
@@ -67,6 +67,10 @@ _ABSENT = 0xFFFFFFFF
 #: Upper bound on a record body; a corrupt length field must never make a
 #: reader allocate gigabytes or block forever on bytes that never come.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Most input a rejecting end reads and drops before it closes
+#: (:func:`discard_input`).
+DISCARD_LIMIT_BYTES = 1024 * 1024
 
 _TYPE_CODES = {
     PacketType.CONTROL: 1,
@@ -284,6 +288,25 @@ async def sock_read_record(
                                       f"the {max_body_bytes}-byte limit")
             size += body_len
     return bytes(record)
+
+
+async def discard_input(
+    read: Callable[[int], Awaitable[bytes]],
+    limit: int = DISCARD_LIMIT_BYTES,
+) -> None:
+    """Read and drop input through ``read`` until EOF or ``limit`` bytes.
+
+    Closing a socket with unread input makes the kernel send a reset,
+    which can destroy the answer still in flight to the peer.  An end
+    that rejects an opening record therefore answers, shuts down its
+    write side, and calls this to consume the rest of what the peer
+    sent before it closes.  Callers bound the wait with a timeout.
+    """
+    while limit > 0:
+        chunk = await read(min(limit, 64 * 1024))
+        if not chunk:
+            return
+        limit -= len(chunk)
 
 
 async def read_packet(

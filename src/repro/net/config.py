@@ -72,17 +72,10 @@ class ServeConfig:
         How long a queued connection waits for a slot before being shed.
     busy_retry_after_s:
         The retry-after hint carried by ``busy`` messages.
-    resume_window_s:
-        How long a dropped session stays resumable via its token
-        (0 disables resume).
     portable_tokens:
-        Issue *portable* resume tokens that embed the session request
-        (clip, quality, device) instead of opaque random ids.  Any
-        server holding the same deterministic catalog can then adopt
-        the token after the issuing process dies and replay the stream
-        byte-identically — the failover mechanism of the sharded fleet
-        (:mod:`repro.fleet`).  Off by default: portable tokens reveal
-        the session parameters to anyone who sees the token.
+        Accepted and ignored; it has no effect.  Every resume token is
+        portable (:func:`~repro.net.messages.encode_portable_token`).
+        The field goes once no caller passes it any more.
     drain_timeout_s:
         Default deadline for the server's graceful
         :meth:`~repro.net.server.AnnotationStreamServer.drain`.
@@ -114,8 +107,7 @@ class ServeConfig:
     accept_queue: int = 0
     accept_timeout_s: float = 5.0
     busy_retry_after_s: float = 0.25
-    resume_window_s: float = 60.0
-    portable_tokens: bool = False
+    portable_tokens: bool = True
     drain_timeout_s: float = 10.0
     batch_records: int = 32
     batch_bytes: int = 1 << 20
@@ -148,8 +140,6 @@ class ServeConfig:
             raise ValueError("accept_timeout_s must be positive")
         if self.busy_retry_after_s < 0:
             raise ValueError("busy_retry_after_s must be non-negative")
-        if self.resume_window_s < 0:
-            raise ValueError("resume_window_s must be non-negative")
         if self.drain_timeout_s <= 0:
             raise ValueError("drain_timeout_s must be positive")
 

@@ -52,7 +52,6 @@ import base64
 import binascii
 import json
 import math
-import secrets
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -185,7 +184,6 @@ class StatusInfo:
     active_sessions: int
     waiting_sessions: int
     max_sessions: Optional[int] = None
-    resumable_sessions: int = 0
 
 
 @dataclass(frozen=True)
@@ -353,7 +351,7 @@ def encode_session(
 ) -> MediaPacket:
     """Build the server's accepted-session control packet.
 
-    ``token`` (when the server supports resume) lets the client
+    ``token`` (see :func:`encode_portable_token`) lets the client
     reconnect after a drop; ``resumed_at`` tells a resuming client the
     data-record offset the stream continues from.
     """
@@ -410,7 +408,6 @@ def encode_status(
     active_sessions: int,
     waiting_sessions: int,
     max_sessions: Optional[int] = None,
-    resumable_sessions: int = 0,
     seq: int = 0,
 ) -> MediaPacket:
     """Build the server's health/readiness answer to a ``health`` probe."""
@@ -421,7 +418,6 @@ def encode_status(
         "active": active_sessions,
         "waiting": waiting_sessions,
         "max": max_sessions,
-        "resumable": resumable_sessions,
     }))
 
 
@@ -577,7 +573,6 @@ def decode_control(packet: MediaPacket) -> ControlMessage:
                 active_sessions=int(obj["active"]),
                 waiting_sessions=int(obj["waiting"]),
                 max_sessions=None if max_sessions is None else int(max_sessions),
-                resumable_sessions=int(obj.get("resumable", 0)),
             ))
         if kind == "end":
             return ControlMessage(kind=kind, end=EndInfo(
@@ -611,15 +606,14 @@ PORTABLE_TOKEN_PREFIX = "p1"
 class PortableTokenInfo:
     """The session request embedded in a portable resume token.
 
-    Plain random tokens only resolve in the process that issued them; a
-    *portable* token additionally carries the (clip, quality, device)
-    triple that opened the session.  Because annotated streams are
-    deterministic functions of that triple, **any** server holding the
-    same catalog can adopt the token and replay the stream
-    byte-identically — which is how the sharded fleet
-    (:mod:`repro.fleet`) survives a shard death: the router re-routes
-    the client's resume to a replica shard and the replica rebuilds the
-    session from the token alone.
+    A token carries the (clip, quality, device) triple that opened the
+    session, plus its applied switch plan.  Because annotated streams
+    are deterministic functions of those, **any** server holding the
+    same catalog can honor the token and replay the stream
+    byte-identically, with no resume state of its own.  This is also
+    how the sharded fleet (:mod:`repro.fleet`) survives a shard death:
+    the router re-routes the client's resume to a replica shard and the
+    replica rebuilds the session from the token alone.
     """
 
     clip_name: str
@@ -645,16 +639,15 @@ def encode_portable_token(
     clip_name: str, quality: float, device_name: str,
     switches: Sequence[Tuple[int, float, Optional[str]]] = (),
 ) -> str:
-    """Issue a fresh portable resume token for one session.
+    """The portable resume token of one session.
 
-    The token is ``p1.<base64 session request>.<random suffix>``: the
-    middle section makes it adoptable by any replica holding the same
-    catalog (see :class:`PortableTokenInfo`), the 64-bit random suffix
-    keeps every issued token unique so per-token server state (resume
-    registries, takeover semantics) behaves exactly like it does for
-    opaque tokens.  ``switches`` embeds the session's applied mid-stream
-    requality plan (oldest first), so tokens re-issued after adaptation
-    stay adoptable with byte-identical replay.
+    The token is ``p1.<base64 session request>``, a pure function of its
+    arguments: any server holding the same catalog can honor it (see
+    :class:`PortableTokenInfo`).  ``switches`` embeds the session's
+    applied mid-stream requality plan (oldest first), so tokens
+    re-issued after adaptation replay the adapted stream byte-identically.
+    The token is not signed: it reveals, and lets a client choose, only
+    what a ``hello`` could ask for anyway.
     """
     body_obj: dict = {
         "c": clip_name,
@@ -668,7 +661,7 @@ def encode_portable_token(
         ]
     body = _dump(body_obj)
     encoded = base64.urlsafe_b64encode(body).decode("ascii").rstrip("=")
-    return f"{PORTABLE_TOKEN_PREFIX}.{encoded}.{secrets.token_hex(8)}"
+    return f"{PORTABLE_TOKEN_PREFIX}.{encoded}"
 
 
 def _finite(value) -> float:
@@ -681,19 +674,18 @@ def _finite(value) -> float:
 def decode_portable_token(token: str) -> Optional[PortableTokenInfo]:
     """Parse a portable resume token; ``None`` for anything else.
 
-    Opaque random tokens, truncated or tampered portable tokens, and
-    tokens from future format versions all return ``None`` — the caller
-    falls back to its local resume registry (and ultimately to a
-    fresh-fetch rejection), never raises.  The embedded switch plan is
+    Opaque random tokens, the earlier ``p1.<body>.<suffix>`` form,
+    truncated or tampered tokens, and tokens from future format
+    versions all return ``None`` (the server answers ``error`` and the
+    client refetches), never raise.  The embedded switch plan is
     checked here, because a resumed producer trusts it: frames must be
     non-negative integers in strictly increasing order, qualities
     finite, and every ambient spec must parse.  (Whether the frames lie
-    inside the clip is up to the server adopting the token.)
+    inside the clip is up to the server honoring the token.)
     """
-    parts = token.split(".")
-    if len(parts) != 3 or parts[0] != PORTABLE_TOKEN_PREFIX:
+    prefix, _, encoded = token.partition(".")
+    if prefix != PORTABLE_TOKEN_PREFIX or "." in encoded:
         return None
-    encoded = parts[1]
     try:
         padded = encoded + "=" * (-len(encoded) % 4)
         obj = json.loads(base64.urlsafe_b64decode(padded.encode("ascii")))

@@ -37,13 +37,16 @@ Operational resilience on top of the happy path:
   server *sheds load*: it answers the hello with a ``busy`` control
   message carrying a retry-after hint and closes, instead of queueing
   unboundedly and collapsing.
-* **Session resume** — every accepted session gets a resume token.  If
-  the connection drops mid-stream, the server remembers the session for
-  ``resume_window_s``; a client reconnecting with ``resume`` + the count
-  of data records it already holds continues from exactly that offset.
-  Streams are deterministic, so the server seeks to that record instead
-  of regenerating the prefix, and a resumed stream is bit-identical to
-  an uninterrupted one.
+* **Session resume** — every session message and applied ``requality``
+  ack carries a resume token, the portable encoding of the session's
+  (clip, opening quality, device, switch plan).  A stream is a
+  deterministic function of those four, so the token is all the state a
+  resume needs: a client reconnecting with ``resume`` + the count of
+  data records it already holds continues from exactly that offset, on
+  this server, a restarted one or any other over the same catalog.  The
+  server keeps no resume state; it seeks to that record instead of
+  regenerating the prefix, and a resumed stream is bit-identical to an
+  uninterrupted one.
 * **Graceful drain** — :meth:`drain` flips the server to *draining*
   (new hellos are shed with ``busy``), lets in-flight sessions finish
   within a deadline, cancels stragglers, then closes the socket.
@@ -73,17 +76,16 @@ import asyncio
 import contextlib
 import contextvars
 import queue as queue_mod
-import secrets
 import socket
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from ..display.ambient import as_ambient_trace
 from ..streaming.packets import MediaPacket, PacketType
-from ..streaming.server import AdaptationControl, MediaServer, Switch
+from ..streaming.server import AdaptationControl, MediaServer
 from ..streaming.session import NegotiationError, SessionDescription
 from ..telemetry import (
     emit_span,
@@ -93,7 +95,7 @@ from ..telemetry import (
     trace,
     trace_context,
 )
-from .codec import WireFormatError, encode_packet, read_packet
+from .codec import WireFormatError, discard_input, encode_packet, read_packet
 from .config import ServeConfig
 from .messages import (
     StatsRequest,
@@ -137,20 +139,11 @@ STATE_DRAINING = "draining"
 STATE_STOPPED = "stopped"
 
 
-@dataclass
-class _ResumeState:
-    """Server-side memory of an interrupted (or in-flight) session.
-
-    ``plan`` records the session's applied mid-stream ``requality``
-    switches, oldest first; a resume starts under the switches behind
-    its offset and replays the rest at exactly their recorded frames,
-    so the resumed stream is byte-identical to the adapted original.
-    """
-
-    session: SessionDescription
-    deadline: float
-    active: bool = field(default=False)
-    plan: Tuple[Switch, ...] = field(default=())
+def _token(session: SessionDescription, plan=()) -> str:
+    """The resume token of ``session`` under its applied switch ``plan``."""
+    return encode_portable_token(
+        session.clip_name, session.quality, session.device_name, switches=plan
+    )
 
 
 class AnnotationStreamServer:
@@ -166,8 +159,7 @@ class AnnotationStreamServer:
     config:
         The serving policy, a :class:`~repro.net.config.ServeConfig`:
         admission control (``max_sessions`` / ``accept_queue`` /
-        ``accept_timeout_s`` / ``busy_retry_after_s``), session resume
-        (``resume_window_s`` / ``portable_tokens``), graceful drain
+        ``accept_timeout_s`` / ``busy_retry_after_s``), graceful drain
         (``drain_timeout_s``), producer batching (``queue_depth`` /
         ``batch_records`` / ``batch_bytes``), the CPU gate
         (``compute_slots``) and the hello deadline
@@ -198,8 +190,6 @@ class AnnotationStreamServer:
         self.accept_queue = config.accept_queue
         self.accept_timeout_s = config.accept_timeout_s
         self.busy_retry_after_s = config.busy_retry_after_s
-        self.resume_window_s = config.resume_window_s
-        self.portable_tokens = config.portable_tokens
         self.drain_timeout_s = config.drain_timeout_s
         self.batch_records = config.batch_records
         self.batch_bytes = config.batch_bytes
@@ -211,10 +201,6 @@ class AnnotationStreamServer:
         self._waiting_count = 0
         self._slot_available: Optional[asyncio.Condition] = None
         self._tasks: Set["asyncio.Task"] = set()
-        self._resume_states: Dict[str, _ResumeState] = {}
-        # Guards _resume_states: requality acks re-issue tokens from the
-        # producer thread while the event loop registers/purges entries.
-        self._resume_lock = threading.Lock()
         reg = telemetry_registry()
         self._active_gauge = reg.gauge(
             "repro_net_active_sessions", help="Wire sessions currently being served.",
@@ -258,10 +244,6 @@ class AnnotationStreamServer:
             "repro_net_resumed_sessions_total",
             help="Sessions continued from a resume token after a drop.",
         )
-        self._adopted_counter = reg.counter(
-            "repro_net_adopted_sessions_total",
-            help="Portable tokens issued elsewhere adopted by this server.",
-        )
         self._health_counter = reg.counter(
             "repro_net_health_probes_total",
             help="health probes answered with a status message.",
@@ -302,22 +284,16 @@ class AnnotationStreamServer:
         """A ``/healthz``-style snapshot of liveness and readiness.
 
         Returns a dict with ``state``, ``accepting`` (readiness),
-        ``active_sessions``, ``waiting_sessions``, ``max_sessions`` and
-        ``resumable_sessions`` — the same fields the wire ``status``
-        message carries, for in-process health checks.
+        ``active_sessions``, ``waiting_sessions`` and ``max_sessions`` —
+        the same fields the wire ``status`` message carries, for
+        in-process health checks.
         """
-        self._purge_expired_tokens()
-        with self._resume_lock:
-            resumable = sum(
-                1 for s in self._resume_states.values() if not s.active
-            )
         return {
             "state": self._state,
             "accepting": self._state == STATE_READY,
             "active_sessions": self._active_count,
             "waiting_sessions": self._waiting_count,
             "max_sessions": self.max_sessions,
-            "resumable_sessions": resumable,
         }
 
     def stats_snapshot(
@@ -370,10 +346,9 @@ class AnnotationStreamServer:
         ``busy`` while health probes keep being answered — then waits up
         to ``timeout_s`` (default ``drain_timeout_s``) for in-flight
         sessions to complete.  Sessions still running at the deadline
-        are cancelled (their resume tokens survive for
-        ``resume_window_s``, so clients can resume against a restarted
-        server process holding the same state).  Finally closes the
-        listening socket.
+        are cancelled; their clients can resume them from their tokens
+        against any server over the same catalog, this one restarted
+        included.  Finally closes the listening socket.
 
         Returns ``True`` when every session finished within the
         deadline, ``False`` when stragglers had to be cancelled.
@@ -465,168 +440,6 @@ class AnnotationStreamServer:
         if self._slot_available is not None:
             async with self._slot_available:
                 self._slot_available.notify()
-
-    # ------------------------------------------------------------------
-    # Resume registry
-    # ------------------------------------------------------------------
-    def _purge_expired_tokens(self) -> None:
-        now = time.monotonic()
-        with self._resume_lock:
-            expired = [
-                token
-                for token, state in self._resume_states.items()
-                if not state.active and state.deadline <= now
-            ]
-            for token in expired:
-                del self._resume_states[token]
-
-    def _register_token(self, session: SessionDescription) -> Optional[str]:
-        """Issue a resume token for a fresh session (None when disabled).
-
-        With ``portable_tokens`` the token embeds the session request
-        (clip, quality, device) so any server over the same
-        deterministic catalog can honor it — see :meth:`_lookup_token`.
-        """
-        if self.resume_window_s <= 0:
-            return None
-        self._purge_expired_tokens()
-        if self.portable_tokens:
-            token = encode_portable_token(
-                session.clip_name, session.quality, session.device_name
-            )
-        else:
-            token = secrets.token_hex(16)
-        with self._resume_lock:
-            self._resume_states[token] = _ResumeState(
-                session=session,
-                deadline=time.monotonic() + self.resume_window_s,
-                active=True,
-            )
-        return token
-
-    def _adopt_portable_token(self, token: str) -> Optional[SessionDescription]:
-        """Honor a portable token this server never issued.
-
-        Decodes the embedded (clip, quality, device) request and opens a
-        fresh session for it — the catalog is deterministic, so the new
-        session replays the issuing server's stream byte-identically.
-        This is the fleet failover path: when a shard dies, the router
-        replays its clients' portable tokens against a replica shard.
-        Returns None when the token is malformed, names a clip/device
-        this catalog cannot serve, or carries a switch plan this server
-        would never have produced: a frame at or past the clip's end
-        (which also bounds the plan's length) or an unprepared quality.
-        """
-        if not self.portable_tokens:
-            return None
-        info = decode_portable_token(token)
-        if info is None:
-            return None
-        media = self.media_server
-        try:
-            frame_count = media.get_clip(info.clip_name).frame_count
-            if any(frame >= frame_count or quality not in media.qualities
-                   for frame, quality, _ in info.switches):
-                return None
-            session = media.open_session(info.to_request())
-        except NegotiationError:
-            return None
-        with self._resume_lock:
-            self._resume_states[token] = _ResumeState(
-                session=session,
-                deadline=time.monotonic() + self.resume_window_s,
-                active=True,
-                plan=info.switches,
-            )
-        self._adopted_counter.inc()
-        record_event("session_adopt", session_id=session.session_id,
-                     clip=session.clip_name, quality=session.quality,
-                     device=session.device_name)
-        return session
-
-    def _lookup_token(self, token: str) -> Optional[SessionDescription]:
-        """Resolve a resume token; None when unknown or expired.
-
-        A token whose previous connection is still tearing down is
-        *taken over* — newest connection wins.  A client often
-        reconnects before the server's old session task has noticed the
-        dead socket; rejecting the token for that window would downgrade
-        every prompt resume to a full refetch.  The old task streams
-        into a dead socket until its next write fails, which is
-        harmless: sessions are deterministic and share no mutable state.
-
-        A portable token not found in the local registry is *adopted*:
-        decoded back into a session request and opened fresh against the
-        shared deterministic catalog (:meth:`_adopt_portable_token`).
-        """
-        self._purge_expired_tokens()
-        with self._resume_lock:
-            state = self._resume_states.get(token)
-            if state is not None:
-                state.active = True
-                state.deadline = time.monotonic() + self.resume_window_s
-                return state.session
-        return self._adopt_portable_token(token)
-
-    def _token_plan(self, token: Optional[str]) -> Tuple[Switch, ...]:
-        """The recorded requality switch plan behind a resume token."""
-        if token is None:
-            return ()
-        with self._resume_lock:
-            state = self._resume_states.get(token)
-            return () if state is None else state.plan
-
-    def _requality_token(
-        self,
-        token: Optional[str],
-        session: SessionDescription,
-        plan: Tuple[Switch, ...],
-    ) -> Optional[str]:
-        """Refresh resume state after an applied switch; maybe re-issue.
-
-        Called from the producer thread (via the adaptation control's
-        ack builder).  The current token's state learns the new plan so
-        a plain reconnect replays the adapted stream; with portable
-        tokens a *new* token embedding the switch plan is issued and
-        registered, so any replica can adopt the adapted session too.
-        Returns the token the ack should carry (``None`` keeps the
-        client's existing one).
-        """
-        if token is None or self.resume_window_s <= 0:
-            return None
-        with self._resume_lock:
-            state = self._resume_states.get(token)
-            if state is not None:
-                state.plan = plan
-            if not self.portable_tokens:
-                return token
-            new_token = encode_portable_token(
-                session.clip_name, session.quality, session.device_name,
-                switches=plan,
-            )
-            self._resume_states[new_token] = _ResumeState(
-                session=session,
-                deadline=time.monotonic() + self.resume_window_s,
-                active=True,
-                plan=plan,
-            )
-            return new_token
-
-    def _token_disconnected(self, token: Optional[str]) -> None:
-        """Keep an ended session resumable for the resume window.
-
-        Deliberately also called after *clean* completion: under TCP,
-        "clean" only means every write was accepted by local buffers —
-        the peer may have vanished with the tail (end message included)
-        still in flight.  A client that reconnects with the token simply
-        has the missing records replayed; tokens age out of the registry
-        after ``resume_window_s`` either way.
-        """
-        with self._resume_lock:
-            state = self._resume_states.get(token) if token else None
-            if state is not None:
-                state.active = False
-                state.deadline = time.monotonic() + self.resume_window_s
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -874,23 +687,33 @@ class AnnotationStreamServer:
             first = await asyncio.wait_for(
                 read_packet(reader), timeout=self.hello_timeout_s
             )
+            if first is None:
+                return None  # connected and left without asking anything
+            return decode_control(first)
         except asyncio.TimeoutError:
             self._rejects_counter.inc()
             return None
         except WireFormatError as exc:
             self._rejects_counter.inc()
-            with contextlib.suppress(ConnectionError, OSError):
-                await self._send(writer, encode_error(str(exc), seq=0))
+            await self._reject(reader, writer, str(exc))
             return None
-        if first is None:
-            return None  # connected and left without asking anything
-        try:
-            return decode_control(first)
-        except WireFormatError as exc:
-            self._rejects_counter.inc()
-            with contextlib.suppress(ConnectionError, OSError):
-                await self._send(writer, encode_error(str(exc), seq=0))
-            return None
+
+    async def _reject(self, reader, writer, reason: str) -> None:
+        """Answer ``error``, then let the client finish before the close.
+
+        The write side is shut down first, so the client reads the
+        answer and a clean EOF; then what the client still sends (the
+        rest of an oversized record, say) is discarded, bounded by
+        :data:`~repro.net.codec.DISCARD_LIMIT_BYTES` and
+        ``hello_timeout_s``, so the close sends no reset.
+        """
+        with contextlib.suppress(ConnectionError, OSError, asyncio.TimeoutError):
+            await self._send(writer, encode_error(reason, seq=0))
+            if writer.can_write_eof():
+                writer.write_eof()
+            await asyncio.wait_for(
+                discard_input(reader.read), timeout=self.hello_timeout_s
+            )
 
     async def _read_requests(
         self,
@@ -947,28 +770,39 @@ class AnnotationStreamServer:
     def _open_session(self, message):
         """Resolve a hello or resume into (session, token, skip, plan).
 
-        ``plan`` is the recorded requality switch plan to replay (resume
-        of an adapted session), empty for fresh sessions.  Raises
+        A resume token is the portable encoding of the session request
+        and its applied switch plan, so a resume decodes the token and
+        opens the session afresh; the catalog is deterministic, so the
+        stream replays byte-identically wherever the token was issued.
+        ``plan`` is that switch plan, empty for fresh sessions.  Raises
         :class:`~repro.streaming.session.NegotiationError` when the
-        request cannot be served (bad clip/device, dead token).
+        request cannot be served: a bad clip/device, or a token that
+        does not decode or carries a plan this server would never have
+        produced (a frame at or past the clip's end, which also bounds
+        the plan's length, or an unprepared quality).
         """
-        if message.kind == "resume":
-            session = self._lookup_token(message.resume.token)
-            if session is None:
-                raise NegotiationError("unknown or expired resume token")
-            plan = self._token_plan(message.resume.token)
-            self._resumed_counter.inc()
-            record_event("session_resume", session_id=session.session_id,
-                         clip=session.clip_name,
-                         received=message.resume.received_packets)
-            return (session, message.resume.token,
-                    message.resume.received_packets, plan)
-        request = message.hello.to_request()
-        session = self.media_server.open_session(request)
-        record_event("session_open", session_id=session.session_id,
-                     clip=session.clip_name, quality=session.quality,
-                     device=session.device_name)
-        return session, self._register_token(session), 0, ()
+        media = self.media_server
+        if message.kind != "resume":
+            session = media.open_session(message.hello.to_request())
+            record_event("session_open", session_id=session.session_id,
+                         clip=session.clip_name, quality=session.quality,
+                         device=session.device_name)
+            return session, _token(session), 0, ()
+        info = decode_portable_token(message.resume.token)
+        if info is None:
+            raise NegotiationError("undecodable resume token")
+        frame_count = media.get_clip(info.clip_name).frame_count
+        if any(frame >= frame_count or quality not in media.qualities
+               for frame, quality, _ in info.switches):
+            raise NegotiationError(
+                "resume token carries a switch plan this server never issues"
+            )
+        session = media.open_session(info.to_request())
+        skip = message.resume.received_packets
+        self._resumed_counter.inc()
+        record_event("session_resume", session_id=session.session_id,
+                     clip=session.clip_name, received=skip)
+        return session, _token(session, info.switches), skip, info.switches
 
     def adopt(self, sock: socket.socket, record: bytes) -> "asyncio.Task":
         """Serve a connection accepted elsewhere, as if accepted here.
@@ -1006,6 +840,8 @@ class AnnotationStreamServer:
         finally:
             if task is not None:
                 self._tasks.discard(task)
+            if not writer.is_closing():  # cancelled before any close
+                writer.transport.abort()
 
     async def _handle_connection(self, reader, writer) -> None:
         message = await self._read_first(reader, writer)
@@ -1056,14 +892,10 @@ class AnnotationStreamServer:
         wakeup = asyncio.Event()
         producer: Optional[threading.Thread] = None
         loop = asyncio.get_running_loop()
-        token: Optional[str] = None
         clean = False
         session: Optional[SessionDescription] = None
         timings = {"encode_s": 0.0, "queue_wait_s": 0.0, "write_s": 0.0}
         reader_task: Optional["asyncio.Task"] = None
-        # The newest token this session handed out (requality acks
-        # re-issue portable tokens); marked resumable on disconnect.
-        live_token: List[Optional[str]] = [None]
         try:
             with trace("net.session") as session_span:
                 try:
@@ -1086,16 +918,10 @@ class AnnotationStreamServer:
                 )
                 adaptation = AdaptationControl(plan=plan)
 
-                def build_ack(frame, quality, ambient, switch_plan,
-                              _session=session, _token=token):
-                    new_token = self._requality_token(
-                        _token, _session, switch_plan
-                    )
-                    if new_token is not None and new_token != _token:
-                        live_token[0] = new_token
+                def build_ack(frame, quality, ambient, switch_plan):
                     return encode_requality_ack(
                         True, frame, quality=quality, ambient=ambient,
-                        token=new_token, seq=0,
+                        token=_token(session, switch_plan), seq=0,
                     )
 
                 adaptation.ack_builder = build_ack
@@ -1179,8 +1005,6 @@ class AnnotationStreamServer:
                 reader_task.cancel()
                 with contextlib.suppress(asyncio.CancelledError):
                     await reader_task
-            self._token_disconnected(token)
-            self._token_disconnected(live_token[0])
             cancelled.set()
             if producer is not None:
                 # The producer re-checks ``cancelled`` within one 0.1 s

@@ -15,8 +15,9 @@ the acceptance path of the fleet tentpole:
   a fabricated authoritative error;
 * the router hands each routed socket to its shard and keeps nothing:
   sessions outlive the router, bytes pipelined behind the opening
-  record reach the shard, and an opening record too large to hand off
-  is answered ``error`` by the router itself.
+  record reach the shard, and an opening record too large to hand off,
+  or a resume token no shard could decode, is answered ``error`` by the
+  router itself, followed by a clean EOF.
 """
 
 import asyncio
@@ -32,9 +33,9 @@ from repro.fleet.router import MAX_OPENING_RECORD_BYTES
 from repro.net import (
     AnnotationStreamServer,
     FetchOptions,
-    ServeConfig,
     decode_portable_token,
     encode_packet_bytes,
+    encode_portable_token,
 )
 from repro.net.codec import read_packet
 from repro.net.messages import (
@@ -363,9 +364,7 @@ def test_pipelined_requality_survives_the_handoff():
         async with FleetCoordinator(_big_catalog, shards=2,
                                     health_interval_s=0.2) as fleet:
             routed = await fetch(*fleet.address)
-        direct_config = ServeConfig(portable_tokens=True)
-        async with AnnotationStreamServer(_big_catalog(),
-                                          config=direct_config) as server:
+        async with AnnotationStreamServer(_big_catalog()) as server:
             direct = await fetch(*server.address)
         return routed, direct
 
@@ -388,16 +387,36 @@ def test_oversized_opening_record_answered_by_the_router():
             reader, writer = await _open(*fleet.address,
                                          encode_hello(request))
             message = await _read_control(reader)
-            try:
-                after = await asyncio.wait_for(read_packet(reader),
-                                               timeout=15.0)
-            except ConnectionResetError:
-                after = None  # closed with the unread body still pending
+            after = await asyncio.wait_for(read_packet(reader), timeout=15.0)
             await _hangup(writer)
             return message, after, _routed_total() - before
 
     message, after, routed = asyncio.run(run())
     assert message.kind == "error"
     assert str(MAX_OPENING_RECORD_BYTES - 32) in message.error
-    assert after is None  # the router hung up after its answer
+    assert after is None  # a clean EOF after the answer, not a reset
+    assert routed == 0
+
+
+def test_undecodable_resume_token_answered_by_the_router():
+    """No shard could honor a token the router cannot decode (here the
+    earlier suffixed form), so the router answers ``error`` itself."""
+    legacy = encode_resume(
+        encode_portable_token(CLIPS[0][0], QUALITY, DEVICE) + ".0123abcd", 5
+    )
+
+    async def run():
+        async with FleetCoordinator(_fleet_catalog, shards=2,
+                                    health_interval_s=0.2) as fleet:
+            before = _routed_total()
+            reader, writer = await _open(*fleet.address, legacy)
+            message = await _read_control(reader)
+            after = await asyncio.wait_for(read_packet(reader), timeout=15.0)
+            await _hangup(writer)
+            return message, after, _routed_total() - before
+
+    message, after, routed = asyncio.run(run())
+    assert message.kind == "error"
+    assert "resume token" in message.error
+    assert after is None
     assert routed == 0

@@ -30,6 +30,7 @@ production to the client's reads record by record.
 
 import asyncio
 import base64
+import functools
 import json
 import random
 from types import SimpleNamespace
@@ -64,6 +65,7 @@ from repro.streaming import (
     AdaptationControl,
     ClientCapabilities,
     MediaServer,
+    NegotiationError,
     PacketType,
     SessionRequest,
 )
@@ -85,7 +87,7 @@ TARGET_QUALITY = 0.2
 #: Producer paced record-by-record against the client's reads, so a
 #: live requality lands before the clip is fully produced.
 PACED = ServeConfig(
-    portable_tokens=True, queue_depth=1, batch_records=1, batch_bytes=1
+    queue_depth=1, batch_records=1, batch_bytes=1
 )
 
 #: Drains a 0.004 Wh pack at 20 W: all four default SOC thresholds are
@@ -511,9 +513,8 @@ def test_requality_across_fleet_shard(device):
 #: head, the per-frame engine, and a clip that mixes frame resolutions.
 SEEK_SETUPS = ("static", "plan", "dvfs", "perframe", "mixed")
 
-#: Wire server for seek tests: portable tokens so a forged token can
-#: carry a switch plan.
-ADOPTING = ServeConfig(portable_tokens=True)
+#: Wire server for seek tests: a forged token carries the switch plan.
+ADOPTING = ServeConfig()
 
 
 @pytest.fixture(scope="module")
@@ -744,7 +745,7 @@ def test_two_requests_straddling_a_boundary_rebind_once_each():
 def _forged(body):
     raw = json.dumps(body).encode("utf-8")
     encoded = base64.urlsafe_b64encode(raw).decode("ascii").rstrip("=")
-    return f"p1.{encoded}.00"
+    return f"p1.{encoded}"
 
 
 _json_leaf = st.one_of(
@@ -766,18 +767,29 @@ _entry = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    token=st.one_of(
-        st.text(max_size=40),
-        st.builds(lambda body: _forged(body), _json),
-        st.builds(
-            lambda plan: _forged({"c": CLIP, "q": 0.0, "d": DEVICE_NAME,
-                                  "s": plan}),
-            st.one_of(st.lists(_entry, max_size=6), _json),
-        ),
-    )
+_hostile_tokens = st.one_of(
+    st.text(max_size=40),
+    st.builds(lambda body: _forged(body), _json),
+    st.builds(
+        lambda plan: _forged({"c": CLIP, "q": 0.0, "d": DEVICE_NAME,
+                              "s": plan}),
+        st.one_of(st.lists(_entry, max_size=6), _json),
+    ),
+    st.builds(
+        lambda c, q, d, plan: _forged({"c": c, "q": q, "d": d, "s": plan}),
+        st.sampled_from([CLIP, "nosuchclip"]),
+        st.one_of(st.floats(-1.0, 2.0), st.sampled_from([0.0, 0.1, 0.2])),
+        st.sampled_from([DEVICE_NAME, "nosuchdevice"]),
+        st.lists(st.tuples(st.integers(0, FRAMES + 2),
+                           st.sampled_from([0.05, 0.1, 0.2, 0.37]),
+                           st.sampled_from([None, "office"])).map(list),
+                 max_size=4),
+    ),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(token=_hostile_tokens)
 def test_decode_portable_token_never_raises_or_disorders(token):
     info = decode_portable_token(token)
     if info is None:
@@ -786,6 +798,31 @@ def test_decode_portable_token_never_raises_or_disorders(token):
     assert all(isinstance(frame, int) and frame >= 0 for frame in frames)
     assert all(b > a for a, b in zip(frames, frames[1:]))
     assert all(np.isfinite(q) for _, q, _ in info.switches)
+
+
+@functools.lru_cache(maxsize=None)
+def _token_server():
+    """One wire server for the hostile-token property (never started)."""
+    return AnnotationStreamServer(_media())
+
+
+@settings(max_examples=200, deadline=None)
+@given(token=_hostile_tokens, received=st.integers(0, 400))
+def test_open_session_gives_a_session_or_negotiation_error(token, received):
+    """Whatever a resume carries, the server either opens a session
+    whose plan it could have issued, or refuses with NegotiationError."""
+    server = _token_server()
+    message = decode_control(encode_resume(token, received))
+    try:
+        session, issued, skip, plan = server._open_session(message)
+    except NegotiationError:
+        return
+    assert skip == received
+    assert all(frame < FRAMES and quality in server.media_server.qualities
+               for frame, quality, _ in plan)
+    info = decode_portable_token(issued)
+    assert (info.clip_name, info.quality, info.device_name, info.switches) \
+        == (session.clip_name, session.quality, session.device_name, plan)
 
 
 @pytest.mark.parametrize("plan", [

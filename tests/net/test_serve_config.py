@@ -7,9 +7,10 @@ Pins the serve/fetch surface:
 * the retired loose-kwarg spellings raise a plain ``TypeError``;
 * :class:`~repro.net.config.FetchOptions` is the one definition behind
   the facade fetch family;
-* portable resume tokens round-trip, reject tampering, and let a
-  *different* server process adopt a session and replay it
-  byte-identically — the fleet failover primitive.
+* resume tokens are a pure function of the stream: they round-trip,
+  reject tampering and the earlier suffixed form, and let a *different*
+  or restarted server continue a session byte-identically — the fleet
+  failover primitive.
 """
 
 import asyncio
@@ -71,8 +72,7 @@ class TestServeConfig:
         assert config.queue_depth == 32
         assert config.max_sessions is None
         assert config.accept_queue == 0
-        assert config.resume_window_s == 60.0
-        assert config.portable_tokens is False
+        assert config.portable_tokens is True  # accepted, has no effect
         assert config.batch_records == 32
         assert config.batch_bytes == 1 << 20
 
@@ -86,7 +86,7 @@ class TestServeConfig:
         {"accept_queue": -1},
         {"accept_timeout_s": 0.0},
         {"busy_retry_after_s": -0.1},
-        {"resume_window_s": -1.0},
+        {"ambient": "no-such-light"},
         {"drain_timeout_s": 0.0},
     ])
     def test_invalid_values_rejected(self, kwargs):
@@ -113,16 +113,13 @@ class TestServeConfig:
     def test_server_mirrors_config(self):
         media = _media_server(_clip())
         config = ServeConfig(
-            queue_depth=4, max_sessions=2, accept_queue=1,
-            resume_window_s=5.0, portable_tokens=True, compute_slots=2,
+            queue_depth=4, max_sessions=2, accept_queue=1, compute_slots=2,
         )
         server = AnnotationStreamServer(media, config=config)
         assert server.config is config
         assert server.queue_depth == 4
         assert server.max_sessions == 2
         assert server.accept_queue == 1
-        assert server.resume_window_s == 5.0
-        assert server.portable_tokens is True
         assert server.compute_slots == 2
 
 
@@ -225,24 +222,43 @@ class TestPortableTokens:
         request = info.to_request()
         assert request.clip_name == "someclip"
 
-    def test_tokens_are_unique_per_issue(self):
-        a = encode_portable_token("c", 0.1, "d")
-        b = encode_portable_token("c", 0.1, "d")
-        assert a != b
-        assert decode_portable_token(a) == decode_portable_token(b)
+    def test_tokens_are_a_pure_function_of_the_stream(self, device):
+        """Two independently built servers issue identical tokens for the
+        same request and the same switch plan."""
+        clip = _clip(name="pureclip")
+        plan = ((6, 0.1, None), (12, 0.1, "office"))
+        hello = decode_control(encode_hello(
+            SessionRequest(clip.name, QUALITY, ClientCapabilities(device.name))
+        ))
+        planned = encode_portable_token(clip.name, QUALITY, device.name,
+                                        switches=plan)
+        resume = decode_control(encode_resume(planned, 3))
+        servers = [
+            AnnotationStreamServer(_media_server(_clip(name="pureclip")))
+            for _ in range(2)
+        ]
+        fresh = [server._open_session(hello)[1] for server in servers]
+        resumed = [server._open_session(resume)[1] for server in servers]
+        assert fresh[0] == fresh[1]
+        assert fresh[0] == encode_portable_token(clip.name, QUALITY, device.name)
+        assert resumed == [planned, planned]
+        assert decode_portable_token(planned).switches == plan
 
     @pytest.mark.parametrize("token", [
         "deadbeef" * 4,                      # opaque random token
         "p2.e30.abcd",                       # future version
         "p1.!!!not-base64!!!.abcd",          # bad encoding
-        "p1.e30.abcd",                       # valid b64, missing keys
-        "p1.onlytwo",                        # wrong part count
+        "p1.e30.abcd",                       # the earlier suffixed form
+        "p1.e30",                            # valid b64, missing keys
+        "p1.onlytwo",                        # not base64 JSON
         "",
     ])
     def test_undecodable_tokens_return_none(self, token):
         assert decode_portable_token(token) is None
 
     def test_server_issues_portable_tokens_when_configured(self, device):
+        """Every server issues the same portable token; the
+        ``portable_tokens`` field is accepted and has no effect."""
         clip = _clip(name="portclip")
         media = _media_server(clip)
 
@@ -258,10 +274,13 @@ class TestPortableTokens:
                 writer.transport.abort()
                 return decode_control(first)
 
-        portable = asyncio.run(run(ServeConfig(portable_tokens=True)))
-        assert decode_portable_token(portable.token) is not None
-        opaque = asyncio.run(run(ServeConfig()))
-        assert decode_portable_token(opaque.token) is None
+        tokens = [
+            asyncio.run(run(config)).token
+            for config in (ServeConfig(portable_tokens=True),
+                           ServeConfig(portable_tokens=False), ServeConfig())
+        ]
+        assert decode_portable_token(tokens[0]) is not None
+        assert tokens == [tokens[0]] * 3
 
     def test_foreign_server_adopts_token_byte_identically(self, device):
         """The failover primitive: a replica that never saw the session
@@ -270,7 +289,7 @@ class TestPortableTokens:
         media_a = _media_server(clip)
         media_b = _media_server(_clip(name="adoptclip", frames=30))
         reference = _reference(media_a, clip.name)
-        config = ServeConfig(portable_tokens=True)
+        config = ServeConfig()
         received = 7
 
         async def drain_stream(reader):
@@ -332,14 +351,66 @@ class TestPortableTokens:
                 assert mine.payload == ref.payload
             elif ref.ptype is PacketType.FRAME:
                 assert np.array_equal(mine.frame.pixels, ref.frame.pixels)
-        adopted = registry().get("repro_net_adopted_sessions_total")
-        assert adopted is not None and adopted.value == 1
+        resumed = registry().get("repro_net_resumed_sessions_total")
+        assert resumed is not None and resumed.value == 1
 
-    def test_adoption_disabled_without_portable_tokens(self, device):
-        """A portable token is not honored by a server that has portable
-        tokens switched off (no accidental cross-catalog adoption)."""
-        media = _media_server(_clip(name="noadopt"))
-        token = encode_portable_token("noadopt", QUALITY, device.name)
+    def test_restarted_server_resumes_byte_identically(self, device):
+        """The issuing server is closed; a new server over the same
+        catalog honors its token and continues the stream
+        byte-identically, with no state carried between the two."""
+        clip = _clip(name="restartclip", frames=30)
+        media = _media_server(clip)
+        reference = [encode_packet_bytes(p) for p in _reference(media, clip.name)]
+        received = 9
+
+        async def records(reader):
+            got = []
+            while True:
+                packet = await asyncio.wait_for(read_packet(reader), timeout=10.0)
+                if packet.ptype is not PacketType.CONTROL:
+                    got.append(encode_packet_bytes(packet))
+                elif decode_control(packet).kind == "end":
+                    return got
+
+        async def run():
+            request = SessionRequest(
+                clip.name, QUALITY, ClientCapabilities(device.name)
+            )
+            async with AnnotationStreamServer(media) as first:
+                reader, writer = await asyncio.open_connection(*first.address)
+                writer.write(encode_packet_bytes(encode_hello(request)))
+                await writer.drain()
+                token = decode_control(
+                    await asyncio.wait_for(read_packet(reader), timeout=5.0)
+                ).token
+                head = (await records(reader))[:received]
+                writer.close()
+            async with AnnotationStreamServer(media) as second:
+                reader, writer = await asyncio.open_connection(*second.address)
+                writer.write(encode_packet_bytes(encode_resume(token, received)))
+                await writer.drain()
+                resumed = decode_control(
+                    await asyncio.wait_for(read_packet(reader), timeout=5.0)
+                )
+                tail = await records(reader)
+                writer.close()
+            return token, resumed, head, tail
+
+        token, resumed, head, tail = asyncio.run(run())
+        assert resumed.kind == "session"
+        assert resumed.resumed_at == received
+        assert resumed.token == token
+        assert head + tail == reference
+
+    @pytest.mark.parametrize("token", [
+        encode_portable_token("legacyclip", QUALITY, "ipaq5555") + ".0123abcd",
+        "feedface",
+        "p1.",
+    ])
+    def test_legacy_and_undecodable_tokens_answered_with_error(self, token):
+        """The earlier ``p1.<body>.<suffix>`` form and any other token
+        that does not decode get ``error``; a client then refetches."""
+        media = _media_server(_clip(name="legacyclip"))
 
         async def run():
             async with AnnotationStreamServer(media) as server:

@@ -204,6 +204,28 @@ class TestNegotiation:
         message = decode_control(packet)
         assert message.kind == "error"
 
+    def test_rejected_opening_record_closes_with_eof_not_reset(self, device):
+        """After answering a bad opening record, the server shuts down
+        its write side and discards the rest of what the client sent,
+        so the client reads the error and then a clean EOF."""
+        media = _media_server(_clip())
+
+        async def run():
+            async with AnnotationStreamServer(media) as server:
+                reader, writer = await asyncio.open_connection(*server.address)
+                writer.write(b"\x00" * (256 * 1024))  # bad header, long tail
+                await writer.drain()
+                from repro.net.codec import read_packet
+
+                packet = await asyncio.wait_for(read_packet(reader), timeout=5.0)
+                after = await asyncio.wait_for(read_packet(reader), timeout=5.0)
+                writer.close()
+                return packet, after
+
+        packet, after = asyncio.run(run())
+        assert decode_control(packet).kind == "error"
+        assert after is None
+
     def test_wrong_first_message_kind_rejected(self, device):
         media = _media_server(_clip())
 

@@ -224,7 +224,8 @@ class TestStatus:
         out = capsys.readouterr().out
         assert ": ready" in out
         assert ": yes" in out
-        assert "resumable sessions" in out
+        assert "waiting sessions" in out
+        assert "resumable" not in out
 
     def test_unreachable_server_exits_nonzero(self, capsys):
         import socket

@@ -124,7 +124,7 @@ def test_readme_links_adaptation_and_benchmarks():
     """The README routes readers to the adaptation note and bench docs."""
     readme = (REPO_ROOT / "README.md").read_text()
     assert "docs/adaptation.md" in readme
-    assert "docs/benchmarks.md" in readme
+    assert "benchmarks/trend_check.py" in readme
 
 
 def _bench(name):
