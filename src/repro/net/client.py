@@ -54,7 +54,7 @@ from ..telemetry import (
     registry as telemetry_registry,
     trace,
 )
-from .codec import WireFormatError, encode_packet_bytes, read_packet
+from .codec import WireFormatError, encode_packet_bytes, open_records
 from .messages import (
     RequalityInfo,
     StatusInfo,
@@ -406,14 +406,9 @@ class AsyncMobileClient:
         base = min(self.backoff_base_s * (2 ** attempt), self.backoff_max_s)
         return base + self.rng.uniform(0.0, self.jitter_s)
 
-    async def _read(self, reader) -> Optional[MediaPacket]:
-        return await asyncio.wait_for(
-            read_packet(reader), timeout=self.read_timeout_s
-        )
-
     async def _open_stream(self, host, port, clip_name, quality, progress,
                            attempt: int = 0):
-        """Connect and negotiate; returns (reader, writer) mid-protocol.
+        """Connect and negotiate; returns the connection mid-protocol.
 
         Presents a resume token when ``progress`` carries one, a fresh
         hello otherwise.  The opening message carries the active trace
@@ -430,8 +425,8 @@ class AsyncMobileClient:
                     span.set_tag("resuming", True)
             trace_id = None if span is None else span.trace_id
             span_id = None if span is None else span.span_id
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port), timeout=self.connect_timeout_s
+            conn = await asyncio.wait_for(
+                open_records(host, port), timeout=self.connect_timeout_s
             )
             try:
                 if resuming:
@@ -443,10 +438,10 @@ class AsyncMobileClient:
                     request = self._player.request(clip_name, quality)
                     opening = encode_hello(request, trace_id=trace_id,
                                            parent_span_id=span_id)
-                writer.write(encode_packet_bytes(opening))
-                await writer.drain()
+                conn.write(encode_packet_bytes(opening))
+                await conn.drain()
 
-                first = await self._read(reader)
+                first = await conn.read_packet(self.read_timeout_s)
                 if first is None:
                     raise WireFormatError("server closed before answering the hello")
                 message = decode_control(first)
@@ -481,9 +476,9 @@ class AsyncMobileClient:
                     progress.token = message.token if self.resume else None
                 if span is not None and progress.session is not None:
                     span.set_tag("session_id", progress.session.session_id)
-                return reader, writer
+                return conn
             except BaseException:
-                await self._close_writer(writer)
+                await conn.close()
                 raise
 
     async def _fetch_once(
@@ -491,17 +486,13 @@ class AsyncMobileClient:
         progress: _FetchProgress, attempt: int = 0,
     ) -> FetchResult:
         """One connection's worth of fetching, continuing ``progress``."""
-        reader, writer = await self._open_stream(
+        conn = await self._open_stream(
             host, port, clip_name, quality, progress, attempt=attempt
         )
-        timings = {"decode_s": 0.0}
         try:
             packets = progress.packets
             while True:
-                packet = await asyncio.wait_for(
-                    read_packet(reader, timings=timings),
-                    timeout=self.read_timeout_s,
-                )
+                packet = await conn.read_packet(self.read_timeout_s)
                 if packet is None:
                     raise WireFormatError("server closed before end-of-stream")
                 if packet.ptype is PacketType.CONTROL:
@@ -541,12 +532,12 @@ class AsyncMobileClient:
                 advice = self._advise(progress)
                 if advice is not None:
                     quality_req, ambient_req = advice
-                    writer.write(encode_packet_bytes(
+                    conn.write(encode_packet_bytes(
                         encode_requality(
                             quality=quality_req, ambient=ambient_req
                         )
                     ))
-                    await writer.drain()
+                    await conn.drain()
                     self._requality_counter.inc()
                     record_event(
                         "client_requality_request",
@@ -561,8 +552,8 @@ class AsyncMobileClient:
                 requalities=tuple(progress.requalities),
             )
         finally:
-            progress.decode_s += timings["decode_s"]
-            await self._close_writer(writer)
+            progress.decode_s += conn.decode_s
+            await conn.close()
 
     def _handle_requality_ack(
         self, info: Optional[RequalityInfo], progress: _FetchProgress
@@ -615,14 +606,6 @@ class AsyncMobileClient:
         stay deterministic.
         """
         return None
-
-    @staticmethod
-    async def _close_writer(writer: asyncio.StreamWriter) -> None:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
 
     async def fetch(
         self, host: str, port: int, clip_name: str, quality: float
@@ -907,6 +890,22 @@ class BatteryClient(AsyncMobileClient):
         return quality_req, ambient_req
 
 
+async def _probe(
+    host: str, port: int, request: MediaPacket, timeout_s: float
+) -> MediaPacket:
+    """Send one probe record and read the one record that answers it."""
+    conn = await asyncio.wait_for(open_records(host, port), timeout=timeout_s)
+    try:
+        conn.write(encode_packet_bytes(request))
+        await conn.drain()
+        packet = await conn.read_packet(timeout_s)
+        if packet is None:
+            raise WireFormatError("server closed before answering the probe")
+        return packet
+    finally:
+        await conn.close()
+
+
 async def fetch_status(
     host: str, port: int, timeout_s: float = 5.0
 ) -> StatusInfo:
@@ -919,27 +918,13 @@ async def fetch_status(
     answer and ``OSError`` / ``asyncio.TimeoutError`` when the server is
     unreachable.
     """
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout=timeout_s
-    )
-    try:
-        writer.write(encode_packet_bytes(encode_health()))
-        await writer.drain()
-        packet = await asyncio.wait_for(read_packet(reader), timeout=timeout_s)
-        if packet is None:
-            raise WireFormatError("server closed before answering the probe")
-        message = raise_for_error(decode_control(packet))
-        if message.kind != "status":
-            raise WireFormatError(
-                f"expected a status message, got {message.kind!r}"
-            )
-        return message.status
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+    packet = await _probe(host, port, encode_health(), timeout_s)
+    message = raise_for_error(decode_control(packet))
+    if message.kind != "status":
+        raise WireFormatError(
+            f"expected a status message, got {message.kind!r}"
+        )
+    return message.status
 
 
 def fetch_status_sync(host: str, port: int, timeout_s: float = 5.0) -> StatusInfo:
@@ -985,33 +970,19 @@ async def fetch_stats(
     ``OSError`` / ``asyncio.TimeoutError`` when the server is
     unreachable.
     """
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout=timeout_s
+    probe = encode_stats_request(
+        format=format,
+        include_events=include_events,
+        include_spans=include_spans,
+        limit=limit,
     )
-    try:
-        probe = encode_stats_request(
-            format=format,
-            include_events=include_events,
-            include_spans=include_spans,
-            limit=limit,
+    packet = await _probe(host, port, probe, timeout_s)
+    message = raise_for_error(decode_control(packet))
+    if message.kind != "statsdump":
+        raise WireFormatError(
+            f"expected a statsdump message, got {message.kind!r}"
         )
-        writer.write(encode_packet_bytes(probe))
-        await writer.drain()
-        packet = await asyncio.wait_for(read_packet(reader), timeout=timeout_s)
-        if packet is None:
-            raise WireFormatError("server closed before answering the probe")
-        message = raise_for_error(decode_control(packet))
-        if message.kind != "statsdump":
-            raise WireFormatError(
-                f"expected a statsdump message, got {message.kind!r}"
-            )
-        return message.statsdump
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+    return message.statsdump
 
 
 def fetch_stats_sync(

@@ -35,7 +35,7 @@ from typing import Optional, Set, Tuple
 
 from ..streaming.network import Link
 from ..telemetry import registry as telemetry_registry
-from .codec import WIRE_HEADER_BYTES, _parse_header
+from .codec import WIRE_HEADER_BYTES, open_records
 
 
 @dataclass(frozen=True)
@@ -207,42 +207,35 @@ class LossyTransport:
         if delay > 0:
             await asyncio.sleep(delay)
 
-    async def _pump_client_to_server(self, reader, writer) -> None:
+    async def _pump_client_to_server(self, reader, upstream) -> None:
         """Forward client bytes upstream verbatim."""
         try:
             while True:
                 data = await reader.read(65536)
                 if not data:
                     break
-                writer.write(data)
-                await writer.drain()
+                upstream.write(data)
+                await upstream.drain()
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
             try:
-                writer.write_eof()
+                upstream.write_eof()
             except (ConnectionError, OSError, RuntimeError):
                 pass
 
-    async def _pump_server_to_client(self, reader, writer) -> bool:
+    async def _pump_server_to_client(self, upstream, writer) -> bool:
         """Forward server records with faults; returns False when the
         relay cut the connection (truncation or kill)."""
         forwarded = 0
         while True:
-            header = await reader.read(WIRE_HEADER_BYTES)
-            if not header:
+            record = await upstream.read_raw()
+            if record is None:
                 return True
-            while len(header) < WIRE_HEADER_BYTES:
-                more = await reader.read(WIRE_HEADER_BYTES - len(header))
-                if not more:  # upstream died mid-header; pass it through
-                    writer.write(header)
-                    await writer.drain()
-                    return True
-                header += more
-            head = _parse_header(header)
-            body = await reader.readexactly(head.body_len)
-            record = header + body
-            await self._delay(len(record))
+            head, body = record
+            header = head.raw
+            size = WIRE_HEADER_BYTES + head.body_len
+            await self._delay(size)
             if (
                 self.spec.kill_after_records is not None
                 and forwarded >= self.spec.kill_after_records
@@ -258,17 +251,22 @@ class LossyTransport:
             if self._take_fault(self.spec.drop_rate):
                 continue
             if self._take_fault(self.spec.corrupt_rate):
-                mutable = bytearray(record)
-                pos = self._rng.randrange(WIRE_HEADER_BYTES, len(record)) \
-                    if head.body_len else self._rng.randrange(len(record))
-                mutable[pos] ^= 0xFF
-                record = bytes(mutable)
+                pos = self._rng.randrange(WIRE_HEADER_BYTES, size) \
+                    if head.body_len else self._rng.randrange(size)
+                if pos < WIRE_HEADER_BYTES:
+                    mutable = bytearray(header)
+                    mutable[pos] ^= 0xFF
+                    header = bytes(mutable)
+                else:
+                    body[pos - WIRE_HEADER_BYTES] ^= 0xFF
             if self._take_fault(self.spec.truncate_rate):
-                cut = self._rng.randrange(1, len(record))
-                writer.write(record[:cut])
+                cut = self._rng.randrange(1, size)
+                writer.write(header[:cut])
+                writer.write(body[:max(0, cut - WIRE_HEADER_BYTES)])
                 await writer.drain()
                 return False
-            writer.write(record)
+            writer.write(header)
+            writer.write(body)
             await writer.drain()
             forwarded += 1
 
@@ -287,18 +285,16 @@ class LossyTransport:
 
     async def _relay(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         try:
-            up_reader, up_writer = await asyncio.open_connection(
-                self.upstream_host, self.upstream_port
-            )
+            upstream = await open_records(self.upstream_host, self.upstream_port)
         except OSError:
             writer.close()
             return
         uplink = asyncio.ensure_future(
-            self._pump_client_to_server(reader, up_writer)
+            self._pump_client_to_server(reader, upstream)
         )
         try:
-            await self._pump_server_to_client(up_reader, writer)
-        except (ConnectionError, asyncio.IncompleteReadError, OSError, ValueError):
+            await self._pump_server_to_client(upstream, writer)
+        except (ConnectionError, OSError, ValueError):
             pass  # upstream vanished or emitted garbage; drop the session
         finally:
             uplink.cancel()
@@ -306,12 +302,9 @@ class LossyTransport:
                 await uplink
             except (asyncio.CancelledError, Exception):
                 pass
-            for w in (writer, up_writer):
+            writer.close()
+            for closed in (upstream.close, writer.wait_closed):
                 try:
-                    w.close()
+                    await closed()
                 except Exception:
                     pass
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass

@@ -49,9 +49,11 @@ LEAD_CHUNK_FRAMES = 8
 #: long chunks; on the wire a chunk is also the unit a producer computes
 #: before its session's socket sees any of it, so long chunks turn into
 #: head-of-line bubbles (and long compute-slot holds under contention).
-#: Matching the wire server's default batch_records keeps one chunk ≈ one
-#: coalesced write.
-WIRE_CHUNK_FRAMES = 32
+#: A client that keeps up waits out each chunk's compensation, so the
+#: chunk also bounds the longest gap between the frames it sees.  Each
+#: chunk flushes as one coalesced write (half the wire server's default
+#: batch_records).
+WIRE_CHUNK_FRAMES = 16
 
 #: One mid-stream switch: ``(frame, quality, ambient_spec_or_None)``.
 #: ``frame`` is the scene-boundary frame the new binding takes effect at.

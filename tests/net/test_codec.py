@@ -12,16 +12,21 @@ Two invariants carry the whole transport:
 
 import asyncio
 import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.net import codec
 from repro.net.codec import (
     MAX_BODY_BYTES,
+    READ_AHEAD_BYTES,
     WIRE_HEADER_BYTES,
     WIRE_MAGIC,
+    RecordProtocol,
     WireFormatError,
     decode_packet,
     encode_packet,
@@ -237,3 +242,261 @@ class TestMalformedInput:
 
         with pytest.raises(WireFormatError):
             asyncio.run(run())
+
+
+# -- the client's record protocol --------------------------------------
+
+class _Transport:
+    """Records what :class:`RecordProtocol` asks of its transport."""
+
+    def __init__(self):
+        self.paused = False
+        self.pauses = 0
+
+    def pause_reading(self):
+        self.paused = True
+        self.pauses += 1
+
+    def resume_reading(self):
+        self.paused = False
+
+    def close(self):
+        pass
+
+
+def _protocol(scratch=None):
+    """A connected protocol (call inside a running loop)."""
+    if scratch is None:
+        proto = RecordProtocol()
+    else:
+        with mock.patch.object(codec, "SCRATCH_BYTES", scratch):
+            proto = RecordProtocol()
+    transport = _Transport()
+    proto.connection_made(transport)
+    return proto, transport
+
+
+def _deliver(proto, data, sizes=(1 << 30,)):
+    """Hand ``data`` to the protocol as a socket would, in deliveries of
+    ``sizes`` bytes (cycled), each cut to the buffer it is offered."""
+    pos = 0
+    k = 0
+    while pos < len(data):
+        buf = proto.get_buffer(-1)
+        assert len(buf) > 0
+        n = min(len(buf), sizes[k % len(sizes)], len(data) - pos)
+        buf[:n] = data[pos:pos + n]
+        proto.buffer_updated(n)
+        pos += n
+        k += 1
+
+
+async def _drain(proto):
+    """Every packet the protocol yields, up to EOF."""
+    got = []
+    while True:
+        packet = await proto.read_packet(timeout=5.0)
+        if packet is None:
+            return got
+        got.append(packet)
+
+
+@st.composite
+def streams(draw):
+    """A few packets, at least one of them a frame bigger than 64 bytes."""
+    big = frame_packet(0, Frame(np.random.default_rng(
+        draw(st.integers(0, 2**32 - 1))).integers(
+            0, 256, size=(draw(st.integers(3, 40)), 24, 3), dtype=np.uint8),
+        index=3), 3)
+    packets_ = draw(st.lists(packets(), min_size=0, max_size=4))
+    packets_.insert(draw(st.integers(0, len(packets_))), big)
+    return packets_
+
+
+# Scratch sizes: the smallest that holds a header, sizes that put record
+# boundaries inside headers and bodies, and the real one.
+scratch_sizes = st.sampled_from([WIRE_HEADER_BYTES, 45, 100, 1000, None])
+deliveries = st.one_of(
+    st.just([1]),
+    st.lists(st.integers(1, 3000), min_size=1, max_size=8),
+)
+
+
+class TestRecordProtocol:
+    @settings(max_examples=80, deadline=None)
+    @given(stream=streams(), scratch=scratch_sizes, sizes=deliveries)
+    def test_any_split_yields_the_decoded_records(self, stream, scratch, sizes):
+        data = b"".join(encode_packet_bytes(p) for p in stream)
+
+        async def run():
+            proto, _ = _protocol(scratch)
+            _deliver(proto, data, sizes)
+            proto.eof_received()
+            return await _drain(proto)
+
+        got = asyncio.run(run())
+        assert len(got) == len(stream)
+        for packet, ref in zip(got, stream):
+            _assert_packets_equal(packet, decode_packet(encode_packet_bytes(ref)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=streams(), scratch=scratch_sizes, data=st.data())
+    def test_truncation_raises_after_the_complete_records(
+        self, stream, scratch, data
+    ):
+        records = [encode_packet_bytes(p) for p in stream]
+        blob = b"".join(records)
+        cut = data.draw(st.integers(1, len(blob) - 1), label="cut")
+        bounds = {sum(map(len, records[:i])) for i in range(len(records) + 1)}
+
+        async def run():
+            proto, _ = _protocol(scratch)
+            _deliver(proto, blob[:cut], [7, 300])
+            proto.eof_received()
+            return await _drain(proto)
+
+        if cut in bounds:
+            assert len(asyncio.run(run())) == sum(
+                1 for i in range(len(records)) if sum(map(len, records[:i + 1])) <= cut
+            )
+        else:
+            with pytest.raises(WireFormatError):
+                asyncio.run(run())
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=streams(), scratch=scratch_sizes, data=st.data())
+    def test_any_single_byte_corruption_raises(self, stream, scratch, data):
+        blob = bytearray(b"".join(encode_packet_bytes(p) for p in stream))
+        blob[data.draw(st.integers(0, len(blob) - 1), label="pos")] ^= 0xFF
+
+        async def run():
+            proto, _ = _protocol(scratch)
+            _deliver(proto, bytes(blob), [500])
+            proto.eof_received()
+            return await _drain(proto)
+
+        with pytest.raises(WireFormatError):
+            asyncio.run(run())
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.binary(min_size=1, max_size=300))
+    def test_random_garbage_raises(self, data):
+        assume(not data.startswith(WIRE_MAGIC))
+
+        async def run():
+            proto, _ = _protocol()
+            _deliver(proto, data)
+            proto.eof_received()
+            return await _drain(proto)
+
+        with pytest.raises(WireFormatError):
+            asyncio.run(run())
+
+    def test_oversized_header_fails_before_any_body_buffer(self):
+        header = bytearray(encode_packet_bytes(control_packet(0, b"")))
+        struct.pack_into("<I", header, 12, MAX_BODY_BYTES + 1)
+
+        async def run():
+            proto, transport = _protocol()
+            tracemalloc.start()
+            try:
+                _deliver(proto, bytes(header))
+                with pytest.raises(WireFormatError, match="MAX_BODY_BYTES"):
+                    await proto.read_packet(timeout=5.0)  # no EOF needed
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1024 * 1024
+            assert transport.paused  # nothing more is read
+            assert len(proto.get_buffer(-1)) <= codec.SCRATCH_BYTES
+
+        asyncio.run(run())
+
+    def test_frames_own_their_buffers(self):
+        """A decoded frame's pixels are writable, and later records
+        (through the same scratch buffer) never change them."""
+        stream = [frame_packet(i, Frame(np.full((20, 20, 3), i, np.uint8),
+                                        index=i), i) for i in range(6)]
+
+        async def run():
+            for scratch in (None, 100):
+                proto, _ = _protocol(scratch)
+                _deliver(proto, encode_packet_bytes(stream[0]), [50])
+                first = (await proto.read_packet(timeout=5.0)).frame.pixels
+                assert first.flags.writeable
+                kept = first.copy()
+                _deliver(proto, b"".join(
+                    encode_packet_bytes(p) for p in stream[1:]), [50])
+                proto.eof_received()
+                rest = await _drain(proto)
+                assert np.array_equal(first, kept)
+                first[:] = 255  # the frame's own buffer: the rest keep theirs
+                for i, packet in enumerate(rest, start=1):
+                    assert (packet.frame.pixels == i).all()
+
+        asyncio.run(run())
+
+    def test_read_ahead_pauses_the_transport_at_the_bound(self):
+        frame = frame_packet(0, Frame(np.zeros((100, 100, 3), np.uint8)), 0)
+        record = encode_packet_bytes(frame)
+
+        async def run():
+            proto, transport = _protocol()
+            held = 0
+            while not transport.paused:  # a consumer that does not read
+                _deliver(proto, record, [4096])
+                held += len(record)
+                assert held <= READ_AHEAD_BYTES + 2 * len(record)
+            assert held - len(record) >= READ_AHEAD_BYTES
+            assert transport.pauses == 1
+            while held:
+                await proto.read_packet(timeout=5.0)
+                held -= len(record)
+                if held - len(record) < READ_AHEAD_BYTES:
+                    assert not transport.paused
+            return transport.pauses
+
+        assert asyncio.run(run()) == 1
+
+    def test_small_records_never_pause_a_reading_consumer(self):
+        stream = b"".join(encode_packet_bytes(annotation_packet(i, b"x" * 200))
+                          for i in range(2000))
+
+        async def run():
+            proto, transport = _protocol()
+            for start in range(0, len(stream), 65536):
+                _deliver(proto, stream[start:start + 65536])
+                while proto._records:
+                    await proto.read_packet(timeout=5.0)
+            return transport.pauses
+
+        assert asyncio.run(run()) == 0
+
+    def test_eof_at_boundary_reset_and_stall(self):
+        record = encode_packet_bytes(annotation_packet(0, b"track"))
+
+        async def run():
+            proto, _ = _protocol()
+            _deliver(proto, record)
+            proto.connection_lost(ConnectionResetError("reset by peer"))
+            # What arrived before the reset is still returned first.
+            assert (await proto.read_packet(timeout=5.0)).payload == b"track"
+            with pytest.raises(ConnectionResetError):
+                await proto.read_packet(timeout=5.0)
+
+            proto, _ = _protocol()
+            _deliver(proto, record)
+            proto.eof_received()
+            assert await proto.read_packet(timeout=5.0) is not None
+            assert await proto.read_packet(timeout=5.0) is None
+
+            proto, _ = _protocol()
+            _deliver(proto, record[:-2])  # stalls mid-body
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            with pytest.raises(asyncio.TimeoutError):
+                # The outer bound only keeps a broken deadline from hanging.
+                await asyncio.wait_for(proto.read_packet(timeout=0.05), 2.0)
+            assert 0.05 <= loop.time() - started < 1.0
+
+        asyncio.run(run())

@@ -8,6 +8,7 @@ in-process by :meth:`MediaServer.stream`.
 
 import asyncio
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.net import (
     StreamFetchError,
     encode_packet_bytes,
 )
+from repro.net.codec import WIRE_HEADER_BYTES
 from repro.net.messages import decode_control, encode_end
 from repro.streaming import (
     ClientCapabilities,
@@ -322,6 +324,126 @@ class TestRobustness:
                 )
 
         _assert_streams_identical(asyncio.run(run()).packets, reference)
+
+
+class _HalfFrameThenStall:
+    """A relay whose first connection forwards the server's records up to
+    half of the first frame, then stalls; later connections pass
+    everything through."""
+
+    def __init__(self, upstream):
+        self.upstream = upstream
+        self.connections = 0
+        self._release = asyncio.Event()
+        self._tasks = set()
+
+    async def __aenter__(self):
+        self._server = await asyncio.start_server(self._handle, "127.0.0.1", 0)
+        return self._server.sockets[0].getsockname()[:2]
+
+    async def __aexit__(self, *exc):
+        self._release.set()
+        await asyncio.gather(*self._tasks, return_exceptions=True)
+        self._server.close()
+        await self._server.wait_closed()
+
+    async def _handle(self, reader, writer):
+        self._tasks.add(asyncio.current_task())
+        self.connections += 1
+        stall = self.connections == 1
+        up_reader, up_writer = await asyncio.open_connection(*self.upstream)
+
+        async def uplink():
+            while True:
+                data = await reader.read(65536)
+                if not data:
+                    break
+                up_writer.write(data)
+
+        forward = asyncio.ensure_future(uplink())
+        try:
+            while True:
+                header = await up_reader.read(WIRE_HEADER_BYTES)
+                if not header:
+                    break
+                header += await up_reader.readexactly(
+                    WIRE_HEADER_BYTES - len(header))
+                body = await up_reader.readexactly(
+                    struct.unpack_from("<I", header, 12)[0])
+                if stall and header[5] == 3:  # a frame record
+                    writer.write(header + body[:len(body) // 2])
+                    await writer.drain()
+                    await self._release.wait()
+                    break
+                writer.write(header + body)
+                await writer.drain()
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass
+        finally:
+            forward.cancel()
+            await asyncio.gather(forward, return_exceptions=True)
+            for w in (writer, up_writer):
+                w.close()
+                await asyncio.gather(w.wait_closed(), return_exceptions=True)
+
+
+class TestReadDeadline:
+    def test_half_frame_then_stall_times_out_and_retries(self, device):
+        """A connection that stalls mid-frame fails its attempt with
+        ``TimeoutError`` after ``read_timeout_s``; the retry resumes and
+        the stream is byte-identical."""
+        media = _media_server(_clip(frames=30, height=48, width=36))
+        reference = _reference_packets(media, "wireclip")
+        failures = []
+
+        class Client(AsyncMobileClient):
+            async def _fetch_once(self, *args, **kwargs):
+                started = asyncio.get_running_loop().time()
+                try:
+                    return await super()._fetch_once(*args, **kwargs)
+                except Exception as exc:
+                    failures.append(
+                        (type(exc), asyncio.get_running_loop().time() - started))
+                    raise
+
+        async def run():
+            async with AnnotationStreamServer(media) as server:
+                relay = _HalfFrameThenStall(server.address)
+                async with relay as address:
+                    client = Client(device, read_timeout_s=0.3,
+                                    backoff_base_s=0.01, jitter_s=0.0,
+                                    rng=random.Random(0))
+                    fetched = await asyncio.wait_for(
+                        client.fetch(*address, "wireclip", QUALITY), 30.0)
+                return fetched, relay.connections
+
+        fetched, connections = asyncio.run(run())
+        assert [kind for kind, _ in failures] == [asyncio.TimeoutError]
+        assert failures[0][1] >= 0.3
+        assert connections == fetched.attempts == 2
+        assert fetched.resumes == 1
+        _assert_streams_identical(fetched.packets, reference)
+
+    def test_fetch_creates_no_task_per_record(self, device):
+        media = _media_server(_clip(frames=120))
+        created = []
+
+        def factory(loop, coro, **kwargs):
+            created.append(getattr(coro, "__qualname__", repr(coro)))
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        async def run():
+            async with AnnotationStreamServer(media) as server:
+                client = _client(device)
+                await client.fetch(*server.address, "wireclip", QUALITY)
+                asyncio.get_running_loop().set_task_factory(factory)
+                return await client.fetch(*server.address, "wireclip", QUALITY)
+
+        fetched = asyncio.run(run())
+        assert len(fetched.packets) > 120
+        # The server's per-session tasks and the client's connect: a
+        # handful, where a task per record would be over 120.
+        assert len(created) <= 10, created
 
 
 class TestClientParameters:

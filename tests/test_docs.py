@@ -159,3 +159,45 @@ def test_lut_speedup_quoted_from_bench_engine():
     quoted = re.search(r"([\d.]+)× the float kernel", architecture)
     assert quoted, "docs/architecture.md lost its quoted LUT speedup"
     assert quoted.group(1) == speedup
+
+
+def test_network_figures_quoted_from_bench_network():
+    """Doc-number drift gate: the wire-path figures in DESIGN.md and
+    docs/architecture.md (sessions/sec, frames/sec, mean TTFF, MB/s) are
+    the ones ``BENCH_network.json`` records, at the printed precision."""
+    engines = _bench("BENCH_network.json")["engines"]
+    chunked, perframe = engines["chunked"], engines["perframe"]
+
+    def sessions(e):
+        return f"{e['sessions_per_sec']:.1f}"
+
+    def ttff_ms(e):
+        return f"{e['latency']['ttff_mean_s'] * 1e3:.0f}"
+
+    design = " ".join((REPO_ROOT / "DESIGN.md").read_text().split())
+    quoted = re.search(
+        r"chunked went from [\d.]+ → \*\*([\d.]+) sessions/sec\*\* "
+        r"\(perframe: ([\d.]+)\), ([\d,]+) frames/sec \(perframe: ([\d,]+)\), "
+        r"mean TTFF [\d.]+ s → \*\*~(\d+) ms\*\* \(perframe: ~(\d+) ms\), "
+        r"~(\d+) MB/s on the wire", design
+    )
+    assert quoted, "DESIGN.md lost its quoted network figures"
+    assert quoted.groups() == (
+        sessions(chunked), sessions(perframe),
+        f"{chunked['frames_per_sec']:,.0f}", f"{perframe['frames_per_sec']:,.0f}",
+        ttff_ms(chunked), ttff_ms(perframe),
+        f"{chunked['wire_mbytes_per_sec']:.0f}",
+    )
+
+    architecture = " ".join(
+        (REPO_ROOT / "docs" / "architecture.md").read_text().split()
+    )
+    quoted = re.search(
+        r"chunked serves ([\d.]+) sessions/sec vs perframe's ([\d.]+) .*?"
+        r"~(\d+) ms mean time-to-first-frame \(perframe: ~(\d+) ms\)",
+        architecture,
+    )
+    assert quoted, "docs/architecture.md lost its quoted network figures"
+    assert quoted.groups() == (
+        sessions(chunked), sessions(perframe), ttff_ms(chunked), ttff_ms(perframe),
+    )
