@@ -38,11 +38,10 @@ FPS = 24.0
 SESSIONS = 5
 SAVINGS_FLOOR = 0.10
 
-#: Live switches only land while production is still in flight, so the
-#: producer is paced record-by-record against the client's reads.
-PACED = ServeConfig(
-    queue_depth=1, batch_records=1, batch_bytes=1
-)
+#: Live switches only land while production is still in flight, so
+#: every record is its own write: the stream runs at most one
+#: compensation step ahead of the client's reads plus socket buffers.
+PACED = ServeConfig(batch_records=1, batch_bytes=1)
 
 
 def _bench_clip():

@@ -169,7 +169,7 @@ def test_fleet_chaos(report, device):
         async with FleetCoordinator(
             _fleet_catalog, shards=SHARDS, health_interval_s=0.5
         ) as fleet, AnnotationStreamServer(
-            _fleet_catalog(), config=ServeConfig(queue_depth=32)
+            _fleet_catalog(), config=ServeConfig()
         ) as single:
             await _warm(*single.address, device)
             await _warm(*fleet.address, device)

@@ -85,7 +85,7 @@ def _make_server(clip, engine):
     return server
 
 
-async def _fetch_fleet(media, device, sessions, config=ServeConfig(queue_depth=32)):
+async def _fetch_fleet(media, device, sessions, config=ServeConfig()):
     async with AnnotationStreamServer(media, config=config) as server:
         clients = [AsyncMobileClient(device) for _ in range(sessions)]
         start = time.perf_counter()
@@ -204,7 +204,6 @@ def test_network_throughput(report, workload, device):
     media = _make_server(clip, "chunked")
     capped_results, capped_elapsed = asyncio.run(_fetch_fleet(
         media, device, SESSIONS, ServeConfig(
-            queue_depth=32,
             max_sessions=max(2, SESSIONS // 4),
             accept_queue=SESSIONS,
             accept_timeout_s=120.0,

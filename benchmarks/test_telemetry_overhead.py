@@ -66,7 +66,7 @@ async def _wire_round_times(media, device, rounds):
     alike; the caller takes the per-side minimum.
     """
     on_times, off_times = [], []
-    async with AnnotationStreamServer(media, config=ServeConfig(queue_depth=64)) as server:
+    async with AnnotationStreamServer(media, config=ServeConfig()) as server:
         host, port = server.address
         client = AsyncMobileClient(device)
         await client.fetch(host, port, CLIP_NAME, 0.05)  # warm both sides

@@ -79,7 +79,7 @@ class _maybe_profile:
 
     ``destination`` is ``None`` (disabled), ``"-"`` (print the table to
     stderr) or a path.  Prefers ``yappi`` when importable — it follows
-    the producer threads the wire server compensates on — and falls back
+    the compute threads the wire server compensates on — and falls back
     to :mod:`cProfile`, which only sees the calling thread (for
     ``serve``/``fetch`` that is the asyncio event loop: the send/receive
     path, not the compensation workers).  Either way the dump is a
@@ -320,7 +320,6 @@ def _flight_tail_dump(limit: int) -> None:
 def _serve_config(args: argparse.Namespace) -> ServeConfig:
     """The :class:`ServeConfig` shared by single-serve and fleet paths."""
     return ServeConfig(
-        queue_depth=args.queue_depth,
         max_sessions=args.max_sessions,
         accept_queue=args.accept_queue,
         drain_timeout_s=args.drain_timeout,
@@ -363,7 +362,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host, port = srv.address
         cap = args.max_sessions if args.max_sessions is not None else "unlimited"
         print(f"serving {len(names)} clip(s) on {host}:{port} "
-              f"(queue depth {args.queue_depth}, max sessions {cap})",
+              f"(max sessions {cap})",
               flush=True)
         try:
             if args.duration is not None:
@@ -740,8 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1", help="bind address")
     p.add_argument("--port", type=int, default=8765,
                    help="bind port (0 picks a free port)")
-    p.add_argument("--queue-depth", type=int, default=32,
-                   help="per-session send-queue bound, in records")
     p.add_argument("--max-sessions", type=int, default=None,
                    help="admission-control cap on concurrent sessions "
                         "(default: unlimited)")

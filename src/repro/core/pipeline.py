@@ -444,6 +444,7 @@ class AnnotatedStream:
                 return None  # mixed resolutions: per-frame path handles it
             npix = int(shape[0]) * int(shape[1])
             fractions = np.zeros(self.frame_count)
+            clip_codes = {}  # a scene's frames share one gain
             for i, stats in enumerate(self._profile_stats):
                 gain = float(self._gains[i])
                 if gain <= 1.0:
@@ -451,7 +452,9 @@ class AnnotatedStream:
                 counts = stats.channel_histogram.counts
                 if int(counts.sum()) != npix:
                     return None  # weighted/partial histograms: no shortcut
-                _, clip_code = gain_lut(gain)
+                clip_code = clip_codes.get(gain)
+                if clip_code is None:
+                    clip_code = clip_codes[gain] = gain_lut(gain)[1]
                 if clip_code < len(counts):
                     fractions[i] = int(counts[clip_code:].sum()) / npix
             self._clipped_fractions = fractions

@@ -20,10 +20,10 @@ stream on an actual socket:
   the frozen config objects behind the serve and fetch entry points
   (shared by the facade, the CLI and every :mod:`repro.fleet` worker).
 * :mod:`repro.net.server` — :class:`AnnotationStreamServer`: hosts many
-  concurrent sessions over ``asyncio.start_server`` with per-session
-  bounded send queues (backpressure), admission control with a bounded
-  accept queue and busy-shedding, token-based session resume, graceful
-  drain and clean cancellation.
+  concurrent sessions over ``asyncio.start_server``, each stepping its
+  compensation one chunk ahead of its socket writes (backpressure),
+  admission control with a bounded accept queue and busy-shedding,
+  token-based session resume, graceful drain and clean cancellation.
 * :mod:`repro.net.client` — :class:`AsyncMobileClient`: timeouts,
   exponential retry with jitter, protocol-error recovery,
   reconnect-with-resume and an optional :class:`CircuitBreaker`; plus

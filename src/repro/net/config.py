@@ -57,8 +57,10 @@ class ServeConfig:
     Parameters
     ----------
     queue_depth:
-        Bound of each session's send queue, in records (producer ↔
-        socket backpressure coupling).  Must be >= 1.
+        Accepted and ignored; it has no effect.  A session's stream runs
+        at most one compensation step ahead of its socket writes, so
+        there is no send queue to bound.  The field goes once no caller
+        passes it any more.
     hello_timeout_s:
         How long a fresh connection may take to present its opening
         control message before the server hangs up.
@@ -80,12 +82,13 @@ class ServeConfig:
         Default deadline for the server's graceful
         :meth:`~repro.net.server.AnnotationStreamServer.drain`.
     batch_records / batch_bytes:
-        Flush thresholds for the producer's coalesced wire batches
+        Flush thresholds for a session's coalesced wire batches
         (records / buffered bytes).  Both must be >= 1.
     compute_slots:
-        How many producer threads may run their CPU-bound stage at
-        once, across all sessions.  ``None`` defaults to the host's
-        core count at server construction.  Must be >= 1 when set.
+        How many sessions may run a compensation step at once: the
+        size of the server's compute executor.  ``None`` defaults to
+        the host's core count at server construction.  Must be >= 1
+        when set.
     ambient:
         Optional serve-time ambient spec: a preset name
         (``"office"``), numeric illuminance, or a simulated
@@ -115,8 +118,6 @@ class ServeConfig:
     ambient: Optional[str] = None
 
     def __post_init__(self):
-        if self.queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
         if self.ambient is not None:
             # Validate eagerly: a bad spec should fail at config build,
             # not on the first session.  Imported lazily to keep this

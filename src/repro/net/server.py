@@ -8,26 +8,30 @@ Each connection runs the wire protocol::
       | -- hello (control) ---------> |   admission control, then
       | <-------- session (control) - |   negotiate via MediaServer
       | <----- annotation record(s) - |   batched chunk emission
-      | <--------- frame records ---- |   (producer thread + queue)
-      | <------------ end (control) - |
+      | <--------- frame records ---- |   (one compute step at a time)
+      | <------------ end (control) - |   then half-close
+      | -- EOF ---------------------> |
 
-Packet production reuses the media server's batched emission path and
-runs it on a dedicated per-session thread so the event loop never blocks
-on numpy.  Threads are per-session so no shared executor caps how many
-sessions can *stream* at once, but the CPU-bound part (compensation +
-encode) is gated by a server-wide ``compute_slots`` semaphore sized to
-the host's cores: running more numpy-heavy threads than cores just adds
-GIL convoy — every thread stalls behind every other thread's long
-non-GIL-releasing kernel — which starves the event loop and inflates
-frame gaps without adding any throughput.  Producer
-and socket are decoupled by a **bounded** per-session send queue: when a
-slow client (or a congested wireless hop) stops draining,
-``writer.drain()`` blocks the sender, the queue fills, and the producer
-thread parks on ``put`` — backpressure end to end, never unbounded
-buffering.  The async side never blocks a thread to read the queue: the
-producer nudges an :class:`asyncio.Event` through
-``loop.call_soon_threadsafe`` after each enqueue.  Disconnects cancel the
-session task, which signals and joins its producer cleanly.
+Packet production reuses the media server's batched emission path.
+The session task drives it in *steps*: a step advances the batch
+generator through its next group that carries a frame and encodes what
+it got into contiguous wire buffers.  Steps run on one
+``ThreadPoolExecutor`` per server, sized ``compute_slots`` (the host's
+cores by default), so the event loop never blocks on numpy and no more
+compensation runs at once than there are cores: more numpy-heavy
+threads than cores just adds GIL convoy — every thread stalls behind
+every other thread's long non-GIL-releasing kernel — which starves the
+event loop and inflates frame gaps without adding throughput.
+
+The task keeps exactly one step in flight: as soon as step *k* returns
+it submits step *k+1*, then writes step *k*'s buffers with ``write`` +
+``drain``.  A slow client blocks ``drain``, so compensation runs ahead
+of the socket by at most one step plus what the socket buffers hold —
+backpressure without a queue.  A gone client costs at most the step in
+flight; the generator is closed once that step is done, never while it
+runs.  After ``end`` the server shuts down its write side and discards
+what the client still sends until the client's EOF, so the close never
+answers unread input with a reset that would destroy the stream's tail.
 
 Operational resilience on top of the happy path:
 
@@ -58,16 +62,17 @@ Operational resilience on top of the happy path:
   and collected spans, so a running server's registry is reachable
   from outside the process (:meth:`stats_snapshot`).
 
-Telemetry: active/waiting-session and readiness gauges, per-session
-queue-depth histogram, records/bytes counters, disconnect / shed /
-resumed counters, and a linked span tree per connection —
-``net.admission`` and ``net.session`` join the client's trace via the
-ids carried in ``hello``/``resume``, the producer thread's
-``net.produce`` span (and the engine spans under it) nests inside the
-session via context propagation, and per-stage aggregates
-(``net.encode``, ``net.queue.wait``, ``net.write``) break the send
-path down without per-packet span cost.  Session lifecycle lands in
-the flight recorder (open/resume/shed/reject/end/disconnect/drain).
+Telemetry: active/waiting-session and readiness gauges, a histogram
+of the batches each step still has to write, records/bytes counters,
+disconnect / shed / resumed counters, and a linked span tree per
+connection — ``net.admission`` and ``net.session`` join the client's
+trace via the ids carried in ``hello``/``resume``, the engine spans a
+step opens nest inside the session via one copied context per session,
+and per-stage aggregates (``net.produce``: summed step time,
+``net.encode``, ``net.queue.wait``: time awaiting a step, ``net.write``)
+break the send path down without per-packet span cost.  Session
+lifecycle lands in the flight recorder
+(open/resume/shed/reject/end/disconnect/drain).
 """
 
 from __future__ import annotations
@@ -75,13 +80,12 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import contextvars
-import queue as queue_mod
 import socket
-import threading
 import time
-from dataclasses import asdict, dataclass
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import asdict
 from time import perf_counter
-from typing import Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..display.ambient import as_ambient_trace
 from ..streaming.packets import MediaPacket, PacketType
@@ -111,26 +115,116 @@ from .messages import (
     encode_status,
 )
 
-#: Sentinel closing a producer queue (normal completion).
-_DONE = object()
 
+class _WireSteps:
+    """One session's stream, encoded one frame-carrying group per :meth:`step`.
 
-@dataclass
-class _WireBatch:
-    """A coalesced run of encoded records crossing the producer queue.
+    The session task runs :meth:`step` on the server's compute executor,
+    never two at once, so the batch generator advances on one thread at
+    a time and a reused chunk arena is fully copied out before the next
+    call.  A step pulls groups from
+    :meth:`~repro.streaming.server.MediaServer.stream_batches` up to and
+    including the next one that carries a frame (control-only groups —
+    the head, a switch's ack and annotation — ride with it) and encodes
+    them into contiguous wire buffers that flush at the ``batch_records``
+    / ``batch_bytes`` thresholds.
 
-    The producer thread encodes packets straight into one contiguous
-    buffer (header + payload, repeated) and hands the whole run to the
-    event loop as a single queue item — one ``call_soon_threadsafe``
-    wakeup and one ``writer.write`` + ``drain`` per batch instead of one
-    per record.  Encoding copies every payload into the buffer, so a
-    batch holds no references into producer-side (reused) pixel arenas.
+    ``skip`` is a resume offset: the client already holds the first
+    ``skip`` data records.  Past the head, the stream *seeks*:
+    :meth:`~repro.streaming.server.MediaServer.resume_point` maps the
+    offset through the session's switch plan to a frame, the plan
+    entries behind it move to the control's applied list, and emission
+    starts there under the binding in force — nothing the client holds
+    is compensated again.  The counts start at the resume point, so the
+    ``end`` totals still describe the complete stream.  An offset inside
+    the head re-emits the stream from the top and drops the records
+    already held.  Only *data* records (annotation + frame) are counted
+    or skipped — in-stream control packets (requality acks) always reach
+    the current connection and never perturb the resume offset or the
+    ``end`` totals.
     """
 
-    buffer: bytearray
-    records: int
+    def __init__(self, media_server: MediaServer, session: SessionDescription,
+                 skip: int, adaptation: AdaptationControl,
+                 batch_records: int, batch_bytes: int):
+        self._media = media_server
+        self._session = session
+        self._skip = skip
+        self._adaptation = adaptation
+        self._batch_records = batch_records
+        self._batch_bytes = batch_bytes
+        self._groups = None
+        #: Data records / frames of the complete stream emitted so far.
+        self.packet_count = 0
+        self.frame_count = 0
+        #: Summed encode time and summed step time, in seconds.
+        self.encode_s = 0.0
+        self.produce_s = 0.0
+        #: True once the generator is exhausted.
+        self.done = False
 
-#: Queue-depth histogram buckets (records waiting in a session queue).
+    def _open(self):
+        point = self._media.resume_point(
+            self._session, self._skip, self._adaptation.switch_plan()
+        )
+        start = None
+        if point is not None:
+            self._adaptation.fast_forward(point.switches)
+            self.packet_count, self.frame_count = point.records, point.frame
+            start = point.frame
+        return self._media.stream_batches(
+            self._session, adaptation=self._adaptation, start=start
+        )
+
+    def step(self) -> List[Tuple[bytearray, int]]:
+        """Advance through the next frame-carrying group; return its
+        ``(buffer, records)`` wire batches (possibly none)."""
+        t_step = perf_counter()
+        batches = []
+        buffer = bytearray()
+        records = 0
+        try:
+            if self._groups is None:
+                self._groups = self._open()
+            for group in self._groups:
+                carries_frame = False
+                for packet in group:
+                    is_data = packet.ptype is not PacketType.CONTROL
+                    if not is_data or self.packet_count >= self._skip:
+                        t0 = perf_counter()
+                        header, body = encode_packet(packet)
+                        buffer += header
+                        if len(body):
+                            buffer += body  # copies the payload out of the arena
+                        self.encode_s += perf_counter() - t0
+                        records += 1
+                        if (records >= self._batch_records
+                                or len(buffer) >= self._batch_bytes):
+                            batches.append((buffer, records))
+                            buffer = bytearray()
+                            records = 0
+                    if is_data:
+                        self.packet_count += 1
+                        if packet.ptype is PacketType.FRAME:
+                            self.frame_count += 1
+                            carries_frame = True
+                if carries_frame:
+                    break
+            else:
+                self.done = True
+            if records:
+                batches.append((buffer, records))
+            return batches
+        finally:
+            self.produce_s += perf_counter() - t_step
+
+    def close(self) -> None:
+        """Close the batch generator (only while no step runs)."""
+        if self._groups is not None:
+            self._groups.close()
+
+
+#: Send-queue histogram buckets (batches of a step still to write).
 _QUEUE_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 #: Server lifecycle states reported by :meth:`AnnotationStreamServer.healthz`.
@@ -160,8 +254,8 @@ class AnnotationStreamServer:
         The serving policy, a :class:`~repro.net.config.ServeConfig`:
         admission control (``max_sessions`` / ``accept_queue`` /
         ``accept_timeout_s`` / ``busy_retry_after_s``), graceful drain
-        (``drain_timeout_s``), producer batching (``queue_depth`` /
-        ``batch_records`` / ``batch_bytes``), the CPU gate
+        (``drain_timeout_s``), wire batching (``batch_records`` /
+        ``batch_bytes``), the compute executor's size
         (``compute_slots``) and the hello deadline
         (``hello_timeout_s``).  ``None`` uses the defaults.
     """
@@ -184,7 +278,6 @@ class AnnotationStreamServer:
             media_server.ambient = as_ambient_trace(config.ambient)
         self.host = host
         self._port = port
-        self.queue_depth = config.queue_depth
         self.hello_timeout_s = config.hello_timeout_s
         self.max_sessions = config.max_sessions
         self.accept_queue = config.accept_queue
@@ -194,7 +287,7 @@ class AnnotationStreamServer:
         self.batch_records = config.batch_records
         self.batch_bytes = config.batch_bytes
         self.compute_slots = config.resolved_compute_slots()
-        self._compute_slots = threading.Semaphore(self.compute_slots)
+        self._executor = self._new_executor()
         self._server: Optional[asyncio.base_events.Server] = None
         self._state = STATE_STOPPED
         self._active_count = 0
@@ -219,7 +312,8 @@ class AnnotationStreamServer:
         )
         self._queue_hist = reg.histogram(
             "repro_net_send_queue_depth",
-            help="Send-queue depth sampled at each enqueue (records).",
+            help="Batches of the current step still to write, sampled "
+                 "at each batch write.",
             buckets=_QUEUE_BUCKETS,
         )
         self._records_counter = reg.counter(
@@ -335,9 +429,21 @@ class AnnotationStreamServer:
         for task in list(self._tasks):
             task.cancel()
         await self._wait_tasks()
+        # Steps still running for cancelled sessions finish here; a
+        # restarted server steps on a fresh executor.
+        executor, self._executor = self._executor, self._new_executor()
+        await asyncio.to_thread(executor.shutdown)
         self._state = STATE_STOPPED
         self._ready_gauge.set(0)
         self._draining_gauge.set(0)
+
+    def _new_executor(self) -> ThreadPoolExecutor:
+        # Every session's compensation steps run here, so its size is
+        # the server-wide compute gate.  Not the engine's shared pool: a
+        # step can itself wait on that pool's workers.
+        return ThreadPoolExecutor(
+            max_workers=self.compute_slots, thread_name_prefix="net-compute"
+        )
 
     async def drain(self, timeout_s: Optional[float] = None) -> bool:
         """Gracefully shut down: stop admitting, finish in-flight sessions.
@@ -367,8 +473,11 @@ class AnnotationStreamServer:
         if self._slot_available is not None:
             async with self._slot_available:
                 self._slot_available.notify_all()
-        while self._tasks and time.monotonic() < deadline:
-            await asyncio.sleep(0.02)
+        while self._tasks:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            await asyncio.wait(list(self._tasks), timeout=remaining)
         completed = not self._tasks
         record_event("drain_end", completed=completed,
                      cancelled=len(self._tasks))
@@ -440,187 +549,6 @@ class AnnotationStreamServer:
         if self._slot_available is not None:
             async with self._slot_available:
                 self._slot_available.notify()
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _put(
-        out: "queue_mod.Queue",
-        item,
-        cancelled: threading.Event,
-        loop: asyncio.AbstractEventLoop,
-        wakeup: asyncio.Event,
-    ) -> bool:
-        """Bounded enqueue that gives up once the session is cancelled.
-
-        The short timeout makes the producer re-check ``cancelled`` while
-        parked on a full queue, so a dead connection never strands a
-        thread; a live slow connection just keeps it parked — that *is*
-        the backpressure.  Each successful enqueue nudges the session
-        task's ``wakeup`` event on the loop thread.
-        """
-        while not cancelled.is_set():
-            try:
-                out.put(item, timeout=0.1)
-            except queue_mod.Full:
-                continue
-            try:
-                loop.call_soon_threadsafe(wakeup.set)
-            except RuntimeError:
-                pass  # loop already closed; the session is gone anyway
-            return True
-        return False
-
-    @staticmethod
-    async def _take(out: "queue_mod.Queue", wakeup: asyncio.Event):
-        """Dequeue without blocking a thread: wait on the wakeup event.
-
-        The clear/re-check/wait dance closes the race where the producer
-        enqueues between our failed ``get_nowait`` and ``wakeup.clear``.
-        """
-        while True:
-            try:
-                return out.get_nowait()
-            except queue_mod.Empty:
-                wakeup.clear()
-            try:
-                return out.get_nowait()
-            except queue_mod.Empty:
-                await wakeup.wait()
-
-    def _produce(
-        self,
-        session,
-        out: "queue_mod.Queue",
-        cancelled: threading.Event,
-        loop: asyncio.AbstractEventLoop,
-        wakeup: asyncio.Event,
-        skip: int,
-        adaptation: AdaptationControl,
-    ) -> None:
-        """Producer thread: encode the stream into coalesced wire batches.
-
-        Packets are encoded (headers and payloads copied) into one
-        contiguous buffer per batch; the buffer crosses the queue as a
-        single :class:`_WireBatch`, so the event loop pays one wakeup and
-        one write per batch instead of per record.  Batches flush at the
-        ``batch_records`` / ``batch_bytes`` thresholds and at every
-        generator group boundary — the head (annotation) group therefore
-        reaches the socket while the first frame chunk is still
-        compensating, and reused chunk arenas are fully consumed before
-        the generator advances.
-
-        The CPU-bound stage — advancing the batch generator (which runs
-        compensation) and encoding — executes under the server-wide
-        ``compute_slots`` semaphore; flushed batches are enqueued *after*
-        the slot is released, so a full queue (slow client) parks this
-        thread on ``put`` without holding a compute slot hostage.
-        Enqueueing blocks when the queue is full (backpressure), so
-        compensation never runs further ahead of the socket than
-        ``queue_depth`` batches.
-
-        ``skip`` is a resume offset: the client already holds the first
-        ``skip`` data records.  Past the head, the stream *seeks*:
-        :meth:`~repro.streaming.server.MediaServer.resume_point` maps the
-        offset through the session's switch plan to a frame, the plan
-        entries behind it move to the control's applied list, and
-        emission starts there under the binding in force — nothing the
-        client holds is compensated again.  The counts start at the
-        resume point, so the ``end`` totals still describe the complete
-        stream.  An offset inside the head re-emits the stream from the
-        top and drops the records already held.  Only *data* records
-        (annotation + frame) are counted or skipped — in-stream control
-        packets (requality acks) always reach the current connection and
-        never perturb the resume offset or the ``end`` totals.
-        """
-        packet_count = 0
-        frame_count = 0
-        encode_s = 0.0
-        produce_t0 = perf_counter()
-        buffer = bytearray()
-        records = 0
-        pending = []  # flushed batches awaiting enqueue outside the slot
-        first_flushed = False
-
-        def flush() -> None:
-            nonlocal buffer, records
-            if records:
-                pending.append(_WireBatch(buffer=buffer, records=records))
-                buffer = bytearray()
-                records = 0
-
-        def drain_pending() -> bool:
-            nonlocal first_flushed
-            while pending:
-                if not self._put(out, pending[0], cancelled, loop, wakeup):
-                    return False
-                pending.pop(0)
-                if not first_flushed:
-                    first_flushed = True
-                    compute_s = perf_counter() - produce_t0
-                    emit_span(
-                        "net.first_byte_enqueued",
-                        compute_s,
-                        tags={"session_id": session.session_id},
-                    )
-                    record_event(
-                        "first_byte_enqueued",
-                        session_id=session.session_id,
-                        compute_s=compute_s,
-                    )
-            return True
-
-        try:
-            with trace("net.produce") as span:
-                if span is not None:
-                    span.set_tag("session_id", session.session_id)
-                point = self.media_server.resume_point(
-                    session, skip, adaptation.switch_plan()
-                )
-                start = None
-                if point is not None:
-                    adaptation.fast_forward(point.switches)
-                    packet_count, frame_count = point.records, point.frame
-                    start = point.frame
-                groups = self.media_server.stream_batches(
-                    session, adaptation=adaptation, start=start
-                )
-                while True:
-                    with self._compute_slots:
-                        try:
-                            group = next(groups)
-                        except StopIteration:
-                            break
-                        for packet in group:
-                            is_data = packet.ptype is not PacketType.CONTROL
-                            if not is_data or packet_count >= skip:
-                                t0 = perf_counter()
-                                header, body = encode_packet(packet)
-                                buffer += header
-                                if len(body):
-                                    buffer += body  # copies the payload out of the arena
-                                encode_s += perf_counter() - t0
-                                records += 1
-                                if (
-                                    records >= self.batch_records
-                                    or len(buffer) >= self.batch_bytes
-                                ):
-                                    flush()
-                            if is_data:
-                                packet_count += 1
-                                if packet.ptype is PacketType.FRAME:
-                                    frame_count += 1
-                        flush()
-                    if not drain_pending():
-                        return
-            self._put(
-                out,
-                (_DONE, packet_count, frame_count, encode_s),
-                cancelled,
-                loop,
-                wakeup,
-            )
-        except Exception as exc:  # surfaced to the session task
-            self._put(out, exc, cancelled, loop, wakeup)
 
     async def _send(
         self,
@@ -699,21 +627,34 @@ class AnnotationStreamServer:
             return None
 
     async def _reject(self, reader, writer, reason: str) -> None:
-        """Answer ``error``, then let the client finish before the close.
-
-        The write side is shut down first, so the client reads the
-        answer and a clean EOF; then what the client still sends (the
-        rest of an oversized record, say) is discarded, bounded by
-        :data:`~repro.net.codec.DISCARD_LIMIT_BYTES` and
-        ``hello_timeout_s``, so the close sends no reset.
-        """
-        with contextlib.suppress(ConnectionError, OSError, asyncio.TimeoutError):
+        """Answer ``error``, then half-close (:meth:`_half_close`)."""
+        with contextlib.suppress(ConnectionError, OSError):
             await self._send(writer, encode_error(reason, seq=0))
-            if writer.can_write_eof():
-                writer.write_eof()
-            await asyncio.wait_for(
-                discard_input(reader.read), timeout=self.hello_timeout_s
-            )
+            await self._half_close(reader, writer)
+
+    async def _half_close(self, reader, writer) -> None:
+        """Shut down the write side, then let the client finish.
+
+        The client reads everything sent and a clean EOF; what it still
+        sends (the rest of an oversized record, a late ``requality``) is
+        discarded until its own EOF, bounded by
+        :data:`~repro.net.codec.DISCARD_LIMIT_BYTES` and
+        ``hello_timeout_s``.  Closing a socket with unread input makes
+        the kernel answer with a reset, which would throw away the
+        stream's unsent tail.
+        """
+        try:
+            with contextlib.suppress(ConnectionError, OSError,
+                                     asyncio.TimeoutError):
+                if writer.can_write_eof():
+                    writer.write_eof()
+                await asyncio.wait_for(
+                    discard_input(reader.read), timeout=self.hello_timeout_s
+                )
+        except asyncio.CancelledError:
+            # close() / drain() cut the wait short.  Everything was
+            # sent, so end as a finished task, not a cancelled one.
+            writer.transport.abort()
 
     async def _read_requests(
         self,
@@ -726,7 +667,7 @@ class AnnotationStreamServer:
         The only message a client sends after its opening hello/resume
         is ``requality``: the desired quality and/or ambient is
         deposited in the session's :class:`AdaptationControl`, to be
-        applied by the producer at the next scene boundary.  Anything
+        applied by the stream at the next scene boundary.  Anything
         undecodable ends the reader (the session itself keeps streaming;
         a broken *pipe* surfaces on the write side).
         """
@@ -880,22 +821,30 @@ class AnnotationStreamServer:
                 await self._close_writer(writer)
                 return
             try:
-                await self._serve_session(message, reader, writer)
+                finished = await self._serve_session(message, reader, writer)
             finally:
                 await self._release_slot()
+        if finished:
+            await self._half_close(reader, writer)
+        await self._close_writer(writer)
 
-    async def _serve_session(self, message, reader, writer) -> None:
-        """Run one admitted session to completion (or disconnect)."""
+    async def _serve_session(self, message, reader, writer) -> bool:
+        """Run one admitted session to completion (or disconnect).
+
+        The session task drives the stream: it keeps one
+        :meth:`_WireSteps.step` in flight on the compute executor and,
+        as soon as step *k* returns, submits step *k+1* and writes step
+        *k*'s batches.  A gone client therefore costs at most the step
+        in flight.  Returns whether the session ended with a last
+        message (``end`` or a negotiation ``error``), after which the
+        caller half-closes instead of dropping the connection.
+        """
         self._active_gauge.inc()
-        out: "queue_mod.Queue" = queue_mod.Queue(maxsize=self.queue_depth)
-        cancelled = threading.Event()
-        wakeup = asyncio.Event()
-        producer: Optional[threading.Thread] = None
-        loop = asyncio.get_running_loop()
         clean = False
         session: Optional[SessionDescription] = None
         timings = {"encode_s": 0.0, "queue_wait_s": 0.0, "write_s": 0.0}
         reader_task: Optional["asyncio.Task"] = None
+        step: Optional[Future] = None
         try:
             with trace("net.session") as session_span:
                 try:
@@ -906,16 +855,12 @@ class AnnotationStreamServer:
                     with contextlib.suppress(ConnectionError, OSError):
                         await self._send(writer, encode_error(str(exc), seq=0))
                     clean = True
-                    return
+                    return clean
                 if session_span is not None:
                     session_span.set_tag("session_id", session.session_id)
                     session_span.set_tag("clip", session.clip_name)
                     if skip:
                         session_span.set_tag("resumed_at", skip)
-                await self._send(
-                    writer,
-                    encode_session(session, seq=0, token=token, resumed_at=skip),
-                )
                 adaptation = AdaptationControl(plan=plan)
 
                 def build_ack(frame, quality, ambient, switch_plan):
@@ -930,55 +875,59 @@ class AnnotationStreamServer:
                         False, frame, error=reason, seq=0
                     )
                 )
-                reader_task = loop.create_task(
+                steps = _WireSteps(self.media_server, session, skip, adaptation,
+                                   self.batch_records, self.batch_bytes)
+                # Every step runs in one copy of this task's context, so
+                # the engine spans under it nest under net.session; steps
+                # never overlap, so the copy is never entered twice.
+                step_ctx = contextvars.copy_context()
+                tags = {"session_id": session.session_id}
+                t_first = perf_counter()
+                step = self._executor.submit(step_ctx.run, steps.step)
+                await self._send(
+                    writer,
+                    encode_session(session, seq=0, token=token, resumed_at=skip),
+                )
+                reader_task = asyncio.get_running_loop().create_task(
                     self._read_requests(reader, adaptation, session)
                 )
-                # Copy this task's context so the producer's spans
-                # (net.produce, server.stream, engine stages) nest under
-                # net.session instead of forming an orphan thread trace.
-                producer_ctx = contextvars.copy_context()
-                producer = threading.Thread(
-                    target=producer_ctx.run,
-                    args=(self._produce, session, out, cancelled, loop,
-                          wakeup, skip, adaptation),
-                    name=f"net-session-{session.session_id}",
-                    daemon=True,
-                )
-                producer.start()
                 sent = 0
                 try:
-                    while True:
-                        self._queue_hist.observe(out.qsize())
+                    while step is not None:
                         t0 = perf_counter()
-                        item = await self._take(out, wakeup)
+                        batches = await asyncio.wrap_future(step)
                         timings["queue_wait_s"] += perf_counter() - t0
-                        if isinstance(item, Exception):
-                            raise item
-                        if isinstance(item, _WireBatch):
+                        step = None if steps.done else self._executor.submit(
+                            step_ctx.run, steps.step
+                        )
+                        if batches and t_first is not None:
+                            compute_s = perf_counter() - t_first
+                            t_first = None
+                            emit_span("net.first_byte_enqueued", compute_s,
+                                      tags=tags)
+                            record_event("first_byte_enqueued",
+                                         compute_s=compute_s, **tags)
+                        for i, (buffer, records) in enumerate(batches):
+                            self._queue_hist.observe(len(batches) - i)
                             t1 = perf_counter()
-                            writer.write(item.buffer)
+                            writer.write(buffer)
                             await writer.drain()
                             timings["write_s"] += perf_counter() - t1
-                            self._records_counter.inc(item.records)
-                            self._bytes_counter.inc(len(item.buffer))
-                            sent += item.records
-                            continue
-                        if isinstance(item, tuple) and item[0] is _DONE:
-                            _, packet_count, frame_count, encode_s = item
-                            timings["encode_s"] += encode_s
-                            await self._send(
-                                writer,
-                                encode_end(packet_count, frame_count, seq=sent + 1),
-                                timings=timings,
-                            )
-                            clean = True
-                            break
-                        await self._send(writer, item, timings=timings)
-                        sent += 1
+                            self._records_counter.inc(records)
+                            self._bytes_counter.inc(len(buffer))
+                            sent += records
+                    await self._send(
+                        writer,
+                        encode_end(steps.packet_count, steps.frame_count,
+                                   seq=sent + 1),
+                        timings=timings,
+                    )
+                    clean = True
                 finally:
                     if session_span is not None:
-                        tags = {"session_id": session.session_id}
-                        emit_span("net.encode", timings["encode_s"], tags=tags)
+                        emit_span("net.produce", steps.produce_s, tags=tags)
+                        emit_span("net.encode",
+                                  timings["encode_s"] + steps.encode_s, tags=tags)
                         emit_span("net.queue.wait", timings["queue_wait_s"],
                                   tags=tags)
                         emit_span("net.write", timings["write_s"], tags=tags)
@@ -1005,21 +954,17 @@ class AnnotationStreamServer:
                 reader_task.cancel()
                 with contextlib.suppress(asyncio.CancelledError):
                     await reader_task
-            cancelled.set()
-            if producer is not None:
-                # The producer re-checks ``cancelled`` within one 0.1 s
-                # put tick, so this join is bounded; running it off the
-                # loop thread is unnecessary for such a short wait.
-                with contextlib.suppress(asyncio.CancelledError):
-                    while producer.is_alive():
-                        await asyncio.sleep(0.02)
+            if step is not None:
+                # Close the generator once the step in flight is done
+                # (or cancelled unstarted), never while it runs.
+                step.add_done_callback(lambda _: step_ctx.run(steps.close))
             if not clean and writer.transport is not None:
                 # A graceful close would wait to flush buffered records
                 # to a peer that is gone (or cancelled us by never
                 # reading); drop the buffer so the close is bounded.
                 writer.transport.abort()
-            await self._close_writer(writer)
             self._active_gauge.dec()
+        return clean
 
     @staticmethod
     async def _close_writer(writer: asyncio.StreamWriter) -> None:
@@ -1035,4 +980,4 @@ class AnnotationStreamServer:
     async def _wait_tasks(self) -> None:
         """Wait for all session tasks to unwind after cancellation."""
         while self._tasks:
-            await asyncio.sleep(0.01)
+            await asyncio.wait(list(self._tasks))

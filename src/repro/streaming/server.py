@@ -594,9 +594,9 @@ class MediaServer:
         **Aliasing contract**: batches compensate into a reused
         arena buffer, so a batch's frame payloads are only valid until
         the generator is advanced — consumers must fully encode/copy a
-        batch before requesting the next.  (The wire producer copies
-        each packet into its coalesced send buffer immediately, so this
-        holds by construction there.)
+        batch before requesting the next.  (The wire server's
+        compensation step copies each packet into its coalesced send
+        buffer immediately, so this holds by construction there.)
         """
         if adaptation is None:
             adaptation = AdaptationControl()

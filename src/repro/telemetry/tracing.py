@@ -12,9 +12,9 @@ stack uses:
 * concurrent asyncio tasks each get a *copy* of the context at task
   creation, so sessions multiplexed on one event loop can no longer
   interleave their spans;
-* a producer thread started through ``contextvars.copy_context().run``
-  inherits its parent task's open spans, so server-side production
-  nests under the session that spawned it.
+* work run on another thread through ``contextvars.copy_context().run``
+  inherits its parent task's open spans, so the wire server's
+  compensation steps nest under the session that submitted them.
 
 Distributed tracing on top of plain timing: every span carries a
 ``trace_id`` (shared by all spans of one logical operation, carried

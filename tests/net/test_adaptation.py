@@ -22,10 +22,13 @@ and replays nothing.  Covered here:
 * hostile tokens: decoding never raises and never yields an unordered
   plan; adoption rejects plans this server could not have produced.
 
-Live switches need the producer paced against the client (otherwise a
+Live switches need production paced against the client (otherwise a
 tiny clip is fully produced before the request arrives):
-``queue_depth=1`` + ``batch_records=1`` + ``batch_bytes=1`` couples
-production to the client's reads record by record.
+``batch_records=1`` + ``batch_bytes=1`` writes every record on its own,
+and the session runs at most one compensation step ahead of its
+writes.  Whether a request lands is decided without timing in
+``TestRequalityRace``: a gated server holds production at a known frame
+while the request arrives.
 """
 
 import asyncio
@@ -33,6 +36,7 @@ import base64
 import functools
 import json
 import random
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,7 +62,7 @@ from repro.net import (
 )
 from repro.net.client import _FetchProgress
 from repro.net.codec import encode_packet_bytes, read_packet
-from repro.net.messages import encode_resume
+from repro.net.messages import encode_hello, encode_resume
 from repro.player import DecoderModel
 from repro.power import Battery
 from repro.streaming import (
@@ -84,11 +88,10 @@ FRAMES = 120
 FPS = 30.0
 TARGET_QUALITY = 0.2
 
-#: Producer paced record-by-record against the client's reads, so a
-#: live requality lands before the clip is fully produced.
-PACED = ServeConfig(
-    queue_depth=1, batch_records=1, batch_bytes=1
-)
+#: One record per write, so production stays at most one compensation
+#: step (plus socket buffers) ahead of the client's reads and a live
+#: requality lands before the clip is fully produced.
+PACED = ServeConfig(batch_records=1, batch_bytes=1)
 
 #: Drains a 0.004 Wh pack at 20 W: all four default SOC thresholds are
 #: crossed within the first modeled second of playback, so the client
@@ -101,17 +104,18 @@ TINY_BATTERY = dict(
 
 def _adaptive_clip():
     """Ten 12-frame scenes (alternating dark/bright) at 30 fps."""
-    scenes = []
-    for i in range(10):
-        if i % 2 == 0:
-            scenes.append(SceneSpec("dark", 12, {
-                "background": 0.15 + 0.01 * i, "highlight": 0.6,
-                "glow_level": 0.3,
-            }))
-        else:
-            scenes.append(SceneSpec("bright", 12, {
-                "background": 0.85, "variation": 0.08,
-            }))
+    return _scene_clip([12] * 10)
+
+
+def _scene_clip(lengths):
+    """Alternating dark/bright scenes of the given lengths at 48x36."""
+    scenes = [
+        SceneSpec("dark", n, {"background": 0.15 + 0.01 * i,
+                              "highlight": 0.6, "glow_level": 0.3})
+        if i % 2 == 0 else
+        SceneSpec("bright", n, {"background": 0.85, "variation": 0.08})
+        for i, n in enumerate(lengths)
+    ]
     factory = ScriptedClipFactory(scenes, resolution=(48, 36), seed=11)
     return LazyClip(factory, frame_count=factory.frame_count, fps=FPS,
                     name=CLIP, resolution=(48, 36))
@@ -504,6 +508,121 @@ def test_requality_across_fleet_shard(device):
     applied = [r for r in adaptive.requalities if r.applied]
     assert applied and applied[-1].quality == TARGET_QUALITY
     _assert_post_switch_identical(adaptive, reference, applied[-1].frame)
+
+
+# ---------------------------------------------------------------------------
+# the requality race, decided without timing
+
+
+class _GatedMedia(MediaServer):
+    """A server whose streams hold before producing frame ``gate``.
+
+    Once every frame before ``gate`` is out, the batch generator sets
+    ``held`` and blocks on ``release`` before it computes the next
+    group, so a test can land a request at a known point of production.
+    """
+
+    def __init__(self, gate):
+        super().__init__()
+        self.gate = gate
+        self.held = threading.Event()
+        self.release = threading.Event()
+
+    def stream_batches(self, session, *args, **kwargs):
+        groups = super().stream_batches(session, *args, **kwargs)
+        next_frame = 0
+        try:
+            while True:
+                if next_frame == self.gate and not self.held.is_set():
+                    self.held.set()
+                    assert self.release.wait(timeout=30.0)
+                try:
+                    group = next(groups)
+                except StopIteration:
+                    return
+                frames = [p.frame_index for p in group
+                          if p.ptype is PacketType.FRAME]
+                if frames:
+                    next_frame = frames[-1] + 1
+                yield group
+        finally:
+            groups.close()
+
+
+async def _wait_for(predicate):
+    deadline = asyncio.get_running_loop().time() + 30.0
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline
+        await asyncio.sleep(0.005)
+
+
+def _gated_requality(media, device):
+    """Fetch with one request sent while production is held at the
+    gate; returns the in-stream ``requality`` acks."""
+
+    async def run():
+        async with AnnotationStreamServer(media, config=ServeConfig()) as server:
+            reader, writer = await asyncio.open_connection(*server.address)
+            request = SessionRequest(CLIP, 0.0, ClientCapabilities(device.name))
+            writer.write(encode_packet_bytes(encode_hello(request)))
+            await writer.drain()
+
+            async def read_all():
+                records = []
+                while (packet := await read_packet(reader)) is not None:
+                    records.append(packet)
+                return records
+
+            reading = asyncio.ensure_future(read_all())
+            await _wait_for(media.held.is_set)
+            writer.write(encode_packet_bytes(
+                encode_requality(quality=TARGET_QUALITY)
+            ))
+            await writer.drain()
+            await _wait_for(lambda: _counter("repro_requality_total") == 1)
+            media.release.set()
+            records = await asyncio.wait_for(reading, timeout=30.0)
+            writer.close()
+            await writer.wait_closed()
+        return records
+
+    records = asyncio.run(run())
+    assert decode_control(records[-1]).kind == "end"
+    return [decode_control(p).requality for p in records[1:-1]
+            if p.ptype is PacketType.CONTROL]
+
+
+def _scene_start_at_or_after(media, frame):
+    session = media.open_session(
+        SessionRequest(CLIP, 0.0, ClientCapabilities(DEVICE_NAME))
+    )
+    return media.build_stream(session).next_scene_start(frame)
+
+
+class TestRequalityRace:
+    """A request counted before production reaches frame ``F`` lands at
+    the first scene start at or after ``F``; one with no scene start
+    left is rejected at ``frame_count``."""
+
+    def test_request_lands_at_next_scene_start_of_unproduced_frame(self, device):
+        media = _GatedMedia(gate=40)
+        media.add_clip(_adaptive_clip())
+        boundary = _scene_start_at_or_after(media, 40)
+        assert 40 <= boundary < FRAMES
+        acks = _gated_requality(media, device)
+        assert len(acks) == 1
+        assert acks[0].applied is True
+        assert acks[0].frame == boundary
+        assert acks[0].quality == TARGET_QUALITY
+
+    def test_request_past_last_boundary_rejected_at_frame_count(self, device):
+        media = _GatedMedia(gate=104)
+        media.add_clip(_scene_clip([12] * 8 + [24]))
+        assert _scene_start_at_or_after(media, 104) == FRAMES
+        acks = _gated_requality(media, device)
+        assert len(acks) == 1
+        assert acks[0].applied is False
+        assert acks[0].frame == FRAMES
 
 
 # ---------------------------------------------------------------------------

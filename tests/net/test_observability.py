@@ -206,7 +206,7 @@ class TestStatsProbe:
 
         async def run():
             async with AnnotationStreamServer(
-                media, config=ServeConfig(max_sessions=1, accept_queue=0, queue_depth=1)
+                media, config=ServeConfig(max_sessions=1, accept_queue=0)
             ) as server:
                 holder = _client(device)
                 request = holder._player.request(clip.name, QUALITY)
@@ -242,12 +242,12 @@ class TestStatsProbe:
 
         async def run():
             server = AnnotationStreamServer(
-                media, config=ServeConfig(queue_depth=1, drain_timeout_s=10.0)
+                media, config=ServeConfig(drain_timeout_s=10.0)
             )
             await server.start()
             address = server.address
             # Hold a session open: read the session record, then stop
-            # draining the socket so the producer parks on backpressure.
+            # draining the socket so the session blocks on backpressure.
             holder = _client(device)
             request = holder._player.request(clip.name, QUALITY)
             reader, writer = await asyncio.open_connection(*address)

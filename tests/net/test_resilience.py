@@ -120,7 +120,7 @@ class TestSessionResume:
 
         async def run():
             async with AnnotationStreamServer(
-                media, config=ServeConfig(queue_depth=4)
+                media, config=ServeConfig()
             ) as server:
                 spec = FaultSpec(kill_after_records=5, max_faults=1, seed=3)
                 async with LossyTransport(*server.address, spec) as lossy:
@@ -141,7 +141,7 @@ class TestSessionResume:
 
         async def run():
             async with AnnotationStreamServer(
-                media, config=ServeConfig(queue_depth=4)
+                media, config=ServeConfig()
             ) as server:
                 spec = FaultSpec(kill_after_records=4, max_faults=3, seed=3)
                 async with LossyTransport(*server.address, spec) as lossy:
@@ -173,7 +173,7 @@ class TestSessionResume:
 
         async def run():
             async with AnnotationStreamServer(
-                media, config=ServeConfig(queue_depth=4)
+                media, config=ServeConfig()
             ) as server:
                 spec = FaultSpec(kill_after_records=5, max_faults=1, seed=3)
                 async with LossyTransport(*server.address, spec) as lossy:
@@ -199,7 +199,7 @@ class TestSessionResume:
         reference = _reference(media, clip.name)
 
         async def run():
-            first = AnnotationStreamServer(media, config=ServeConfig(queue_depth=4))
+            first = AnnotationStreamServer(media, config=ServeConfig())
             await first.start()
             spec = FaultSpec(kill_after_records=5, max_faults=1, seed=3)
             async with LossyTransport(*first.address, spec) as lossy:
@@ -228,7 +228,7 @@ class TestSessionResume:
 
         async def run():
             async with AnnotationStreamServer(
-                media, config=ServeConfig(queue_depth=4)
+                media, config=ServeConfig()
             ) as server:
                 spec = FaultSpec(kill_after_records=5, max_faults=1, seed=3)
                 async with LossyTransport(*server.address, spec) as lossy:
@@ -346,7 +346,7 @@ class TestAdmissionControl:
 
         async def run():
             async with AnnotationStreamServer(
-                media, config=ServeConfig(max_sessions=1, accept_queue=0, queue_depth=1)
+                media, config=ServeConfig(max_sessions=1, accept_queue=0)
             ) as server:
                 holder = _client(device)
                 request = holder._player.request(clip.name, QUALITY)
@@ -409,12 +409,12 @@ class TestGracefulDrain:
 
         async def run():
             server = AnnotationStreamServer(
-                media, config=ServeConfig(queue_depth=1, drain_timeout_s=10.0)
+                media, config=ServeConfig(drain_timeout_s=10.0)
             )
             await server.start()
             address = server.address
             # Hold a session open: read the session record, then stop
-            # draining the socket so the producer parks on backpressure.
+            # draining the socket so the session blocks on backpressure.
             holder = _client(device)
             request = holder._player.request(clip.name, QUALITY)
             reader, writer = await asyncio.open_connection(*address)
@@ -447,7 +447,7 @@ class TestGracefulDrain:
         media = _media_server(clip)
 
         async def run():
-            server = AnnotationStreamServer(media, config=ServeConfig(queue_depth=1))
+            server = AnnotationStreamServer(media, config=ServeConfig())
             await server.start()
             holder = _client(device)
             request = holder._player.request(clip.name, QUALITY)

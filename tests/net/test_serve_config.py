@@ -69,7 +69,6 @@ def _reference(media, clip_name, quality=QUALITY):
 class TestServeConfig:
     def test_defaults_match_old_signature_defaults(self):
         config = ServeConfig()
-        assert config.queue_depth == 32
         assert config.max_sessions is None
         assert config.accept_queue == 0
         assert config.portable_tokens is True  # accepted, has no effect
@@ -77,7 +76,6 @@ class TestServeConfig:
         assert config.batch_bytes == 1 << 20
 
     @pytest.mark.parametrize("kwargs", [
-        {"queue_depth": 0},
         {"batch_records": 0},
         {"batch_bytes": 0},
         {"compute_slots": 0},
@@ -94,13 +92,13 @@ class TestServeConfig:
             ServeConfig(**kwargs)
 
     def test_frozen_and_replace_revalidates(self):
-        config = ServeConfig(queue_depth=8)
+        config = ServeConfig(batch_records=8)
         with pytest.raises(AttributeError):
-            config.queue_depth = 4
-        assert config.replace(queue_depth=16).queue_depth == 16
-        assert config.queue_depth == 8  # original untouched
+            config.batch_records = 4
+        assert config.replace(batch_records=16).batch_records == 16
+        assert config.batch_records == 8  # original untouched
         with pytest.raises(ValueError):
-            config.replace(queue_depth=0)
+            config.replace(batch_records=0)
 
     def test_resolved_compute_slots(self):
         assert ServeConfig(compute_slots=3).resolved_compute_slots() == 3
@@ -112,15 +110,22 @@ class TestServeConfig:
 
     def test_server_mirrors_config(self):
         media = _media_server(_clip())
-        config = ServeConfig(
-            queue_depth=4, max_sessions=2, accept_queue=1, compute_slots=2,
-        )
+        config = ServeConfig(max_sessions=2, accept_queue=1, compute_slots=2)
         server = AnnotationStreamServer(media, config=config)
         assert server.config is config
-        assert server.queue_depth == 4
         assert server.max_sessions == 2
         assert server.accept_queue == 1
         assert server.compute_slots == 2
+
+    def test_queue_depth_accepted_and_ignored(self):
+        """``queue_depth`` is an inert field: any value is accepted and
+        the server has no send queue for it to bound."""
+        media = _media_server(_clip())
+        for depth in (0, 1, 32):
+            server = AnnotationStreamServer(
+                media, config=ServeConfig(queue_depth=depth)
+            )
+            assert not hasattr(server, "queue_depth")
 
 
 class TestLegacyServeShim:
@@ -129,7 +134,7 @@ class TestLegacyServeShim:
 
     def test_unknown_kwarg_raises_type_error(self):
         media = _media_server(_clip())
-        for kwargs in ({"bogus_knob": 1}, {"queue_depth": 4}):
+        for kwargs in ({"bogus_knob": 1}, {"batch_records": 4}):
             with pytest.raises(TypeError, match="unexpected keyword"):
                 AnnotationStreamServer(media, **kwargs)
         service = StreamingService(params=FAST_PARAMS)
@@ -138,7 +143,7 @@ class TestLegacyServeShim:
 
     def test_config_path_does_not_warn(self, recwarn):
         media = _media_server(_clip())
-        AnnotationStreamServer(media, config=ServeConfig(queue_depth=4))
+        AnnotationStreamServer(media, config=ServeConfig(batch_records=4))
         assert not [w for w in recwarn if w.category is DeprecationWarning]
 
     def test_facade_serve_accepts_config(self):

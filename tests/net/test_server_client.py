@@ -8,6 +8,7 @@ in-process by :meth:`MediaServer.stream`.
 
 import asyncio
 import random
+import socket
 import struct
 
 import numpy as np
@@ -21,14 +22,20 @@ from repro.net import (
     StreamFetchError,
     encode_packet_bytes,
 )
-from repro.net.codec import WIRE_HEADER_BYTES
-from repro.net.messages import decode_control, encode_end
+from repro.net.codec import WIRE_HEADER_BYTES, read_packet
+from repro.net.messages import (
+    decode_control,
+    encode_end,
+    encode_hello,
+    encode_requality,
+)
 from repro.streaming import (
     ClientCapabilities,
     MediaServer,
     PacketType,
     SessionRequest,
 )
+from repro.streaming.server import WIRE_CHUNK_FRAMES
 from repro.streaming.session import NegotiationError
 from repro.telemetry import registry
 from repro.video import ArrayClip
@@ -156,13 +163,15 @@ class TestFetch:
         assert gauge is not None and gauge.value == 0
 
     def test_tiny_send_queue_still_bit_identical(self, device):
-        """queue_depth=1 exercises the producer parking on every record."""
+        """One record per batch: a step's send queue holds one batch per
+        record, every record is its own write, and the stream is still
+        bit-identical."""
         media = _media_server(_clip())
         reference = _reference_packets(media, "wireclip")
 
         async def run():
             async with AnnotationStreamServer(
-                media, config=ServeConfig(queue_depth=1)
+                media, config=ServeConfig(batch_records=1, batch_bytes=1)
             ) as server:
                 return await _client(device).fetch(
                     *server.address, "wireclip", QUALITY
@@ -170,7 +179,10 @@ class TestFetch:
 
         _assert_streams_identical(asyncio.run(run()).packets, reference)
         hist = registry().get("repro_net_send_queue_depth")
-        assert hist is not None and hist.count > 0 and hist.max <= 1
+        # One sample per batch written; a step's queue is at most its
+        # head records plus one wire chunk.
+        assert hist is not None and hist.count == len(reference)
+        assert hist.max <= 1 + WIRE_CHUNK_FRAMES
 
 
 class TestNegotiation:
@@ -287,7 +299,7 @@ class TestRobustness:
 
         async def run():
             async with AnnotationStreamServer(
-                media, config=ServeConfig(queue_depth=2)
+                media, config=ServeConfig()
             ) as server:
                 client = _client(device)
                 request = client._player.request("wireclip", QUALITY)
@@ -484,6 +496,26 @@ class TestServerParameters:
         with pytest.raises(RuntimeError):
             server.port
 
+    def test_restart_after_close_serves_again(self, device):
+        media = _media_server(_clip())
+        reference = _reference_packets(media, "wireclip")
+
+        async def run():
+            server = AnnotationStreamServer(media)
+            results = []
+            for _ in range(2):
+                await server.start()
+                try:
+                    results.append(await _client(device).fetch(
+                        *server.address, "wireclip", QUALITY
+                    ))
+                finally:
+                    await server.close()
+            return results
+
+        for result in asyncio.run(run()):
+            _assert_streams_identical(result.packets, reference)
+
     def test_double_start_rejected(self):
         async def run():
             async with AnnotationStreamServer(_media_server(_clip())) as server:
@@ -491,3 +523,101 @@ class TestServerParameters:
                     await server.start()
 
         asyncio.run(run())
+
+
+async def _wait_until(predicate, timeout_s=20.0):
+    """Await ``predicate()`` turning true; fail after ``timeout_s``."""
+    deadline = asyncio.get_running_loop().time() + timeout_s
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "condition never held"
+        await asyncio.sleep(0.005)
+
+
+def _hello_bytes(clip_name):
+    request = SessionRequest(clip_name, QUALITY, ClientCapabilities("ipaq5555"))
+    return encode_packet_bytes(encode_hello(request))
+
+
+async def _records_of(data: bytes):
+    """Every record in ``data``, decoded."""
+    reader = asyncio.StreamReader()
+    reader.feed_data(data)
+    reader.feed_eof()
+    records = []
+    while (packet := await read_packet(reader)) is not None:
+        records.append(packet)
+    return records
+
+
+class TestSessionTeardown:
+    def test_late_requality_after_end_does_not_reset_the_tail(self, device):
+        """After ``end`` the server half-closes and discards what the
+        client still sends.  A client with a tiny receive buffer has
+        read nothing when the whole stream (and ``end``) is written; its
+        ``requality`` then lands in the server's receive buffer.  Closing
+        over that unread input would send a reset that throws away the
+        stream's unsent tail; the client must instead read every record
+        and a clean EOF.  The request is sent once the server has
+        written ``end`` and let the session go, so a server that closed
+        right there would close over it."""
+        media = _media_server(_clip(frames=24, height=36, width=48))
+        reference = _reference_packets(media, "wireclip")
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            async with AnnotationStreamServer(media) as server:
+                sent = registry().get("repro_net_records_sent_total")
+                active = registry().get("repro_net_active_sessions")
+                base = sent.value
+                with socket.socket() as sock:
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                    sock.setblocking(False)
+                    await loop.sock_connect(sock, server.address)
+                    await loop.sock_sendall(sock, _hello_bytes("wireclip"))
+                    # session + data records + end, all written, and
+                    # the session over on the server's side
+                    await _wait_until(
+                        lambda: sent.value - base >= len(reference) + 2
+                        and active.value == 0
+                    )
+                    await loop.sock_sendall(sock, encode_packet_bytes(
+                        encode_requality(quality=0.2)
+                    ))
+                    received = bytearray()
+                    while chunk := await loop.sock_recv(sock, 65536):
+                        received += chunk
+                return await _records_of(bytes(received))
+
+        records = asyncio.run(run())
+        assert decode_control(records[0]).kind == "session"
+        assert decode_control(records[-1]).kind == "end"
+        _assert_streams_identical(records[1:-1], reference)
+
+    def test_gone_client_costs_at_most_one_step(self, device):
+        """A client that reads a few frames and aborts costs the server
+        at most the step in flight: every frame compensated beyond what
+        was written belongs to the batch being written or the one step
+        computed ahead of it."""
+        media = _media_server(_clip(frames=120, height=240, width=320))
+        streamed = registry().counter("repro_server_frames_streamed_total")
+
+        async def run():
+            async with AnnotationStreamServer(media, config=ServeConfig()) as server:
+                sent = registry().get("repro_net_records_sent_total")
+                active = registry().get("repro_net_active_sessions")
+                reader, writer = await asyncio.open_connection(*server.address)
+                writer.write(_hello_bytes("wireclip"))
+                await writer.drain()
+                for _ in range(4):  # session, annotation, two frames
+                    assert await read_packet(reader) is not None
+                # Stop reading for a while: whatever the server computes
+                # now has nowhere to go but its own buffers.
+                await asyncio.sleep(0.3)
+                writer.transport.abort()
+                await _wait_until(lambda: active.value == 0)
+            # close() has waited for the step in flight.
+            return sent.value
+
+        records_sent = asyncio.run(run())
+        assert streamed.value <= records_sent + 2 * WIRE_CHUNK_FRAMES
+        assert streamed.value < 120

@@ -1,8 +1,8 @@
 """The coalesced (vectored) wire send path under faults.
 
-The producer thread now encodes whole runs of records into one buffer
-and the event loop writes each run with a single ``write`` + ``drain``
-(see :class:`repro.net.server._WireBatch`).  Batching must be invisible
+Each compensation step encodes whole runs of records into one buffer
+and the session task writes each run with a single ``write`` + ``drain``
+(see :class:`repro.net.server._WireSteps`).  Batching must be invisible
 on the wire: the byte stream is the same record sequence, so the relay's
 per-record fault injection — truncation mid-batch, stalls during a
 coalesced flush, kills between records — and the client's resume

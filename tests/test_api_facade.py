@@ -190,7 +190,7 @@ class TestConfigObjectSurface:
     def test_fetch_options_importable_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            _ = repro.ServeConfig(queue_depth=4)
+            _ = repro.ServeConfig(batch_records=4)
             _ = repro.FetchOptions(max_retries=1)
 
 
