@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -138,53 +138,33 @@ def gain_lut(gain: float) -> Tuple[np.ndarray, int]:
     return entry
 
 
-def _apply_lut(
-    lut: np.ndarray, pixels: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Write ``lut[pixels]`` for a uint8 batch into ``out``, frame by frame.
+def _lut_frames(lut: np.ndarray, pixels: np.ndarray) -> List[np.ndarray]:
+    """``lut[pixels]`` for a uint8 batch, as one array per frame.
 
     ``lut`` is a 256-entry uint8 table and ``pixels`` a uint8 array whose
-    leading axis is frames; ``out`` (allocated when omitted) matches
-    ``pixels``' shape and is returned.  Each frame goes through
+    leading axis is frames.  Each frame goes through
     ``bytearray.translate``, a C loop over bytes and a 256-byte table:
     the same lookup as ``np.take`` without widening every uint8 index to
     an 8-byte intp first, and one GIL hold per frame rather than per
-    chunk.  Non-contiguous frames are made contiguous before the copy.
+    chunk.  Each returned frame is a writable view of its own translated
+    buffer, so nothing is copied after the lookup.
     """
-    if out is None:
-        out = np.empty(pixels.shape, dtype=np.uint8)
     table = lut.tobytes()
-    for k in range(pixels.shape[0]):
-        frame = np.ascontiguousarray(pixels[k])
-        out[k] = np.frombuffer(
+    frames = []
+    for frame in pixels:
+        frame = np.ascontiguousarray(frame)
+        frames.append(np.frombuffer(
             bytearray(frame).translate(table), dtype=np.uint8
-        ).reshape(frame.shape)
+        ).reshape(frame.shape))
+    return frames
+
+
+def _apply_lut(lut: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+    """:func:`_lut_frames` gathered into one array of ``pixels``' shape."""
+    out = np.empty(pixels.shape, dtype=np.uint8)
+    for k, frame in enumerate(_lut_frames(lut, pixels)):
+        out[k] = frame
     return out
-
-
-class ChunkArena:
-    """A reusable uint8 output buffer for batched compensation.
-
-    Repeated :func:`contrast_enhancement_batch` calls over equally sized
-    chunks each allocate a fresh ``(N, H, W, 3)`` output; an arena lets a
-    streaming loop reuse one allocation across batches instead.
-    **Aliasing caveat**: a view handed out by :meth:`request` is
-    invalidated by the next ``request`` of a compatible size — only use
-    an arena when each batch is fully consumed (copied, encoded, written)
-    before the next one is produced.
-    """
-
-    def __init__(self):
-        self._buffer: Optional[np.ndarray] = None
-
-    def request(self, shape: Tuple[int, ...]) -> np.ndarray:
-        """A writable uint8 array of ``shape``, reusing prior capacity."""
-        size = 1
-        for dim in shape:
-            size *= int(dim)
-        if self._buffer is None or self._buffer.size < size:
-            self._buffer = np.empty(size, dtype=np.uint8)
-        return self._buffer[:size].reshape(shape)
 
 
 def _check_batch_args(
@@ -205,6 +185,56 @@ def _check_batch_args(
     if np.any(g <= 0):
         raise ValueError("compensation gains must be positive")
     return pixels, g
+
+
+def contrast_enhancement_frames(
+    pixels: np.ndarray,
+    gains: Union[float, np.ndarray],
+    fractions: Optional[np.ndarray] = None,
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """:func:`contrast_enhancement_batch` returning one array per frame.
+
+    The same bytes and fractions, but each compensated frame is its own
+    ``(H, W, 3)`` array: a view of the LUT lookup's output buffer, or a
+    copy of the input at ``gain <= 1``.  The streaming path sends these
+    buffers as frame payloads as they are, so no batch array is filled.
+    """
+    pixels, g = _check_batch_args(pixels, gains)
+    n = pixels.shape[0]
+    if fractions is not None:
+        fractions = np.asarray(fractions, dtype=np.float64)
+        if fractions.shape != (n,):
+            raise ValueError(
+                f"fractions must have shape ({n},), got {fractions.shape}"
+            )
+        compute_fractions = False
+    else:
+        fractions = np.zeros(n)
+        compute_fractions = True
+    frames: List[np.ndarray] = []
+    # Gains are per-scene, so equal-gain frames form contiguous runs;
+    # each run is one LUT lookup plus one peak-channel reduction.
+    lo = 0
+    while lo < n:
+        hi = lo + 1
+        while hi < n and g[hi] == g[lo]:
+            hi += 1
+        gain = float(g[lo])
+        run = pixels[lo:hi]
+        if gain <= 1.0:
+            frames.extend(frame.copy() for frame in run)
+        else:
+            lut, clip_code = gain_lut(gain)
+            frames.extend(_lut_frames(lut, run))
+            if compute_fractions and clip_code <= int(MAX_CHANNEL):
+                # Chained np.maximum over the channel views — same idiom
+                # (and same speedup) as FrameChunk.peak_channel_u8.
+                peak = np.maximum(
+                    np.maximum(run[..., 0], run[..., 1]), run[..., 2]
+                )
+                fractions[lo:hi] = (peak >= clip_code).mean(axis=(1, 2))
+        lo = hi
+    return frames, fractions
 
 
 def contrast_enhancement_batch(
@@ -228,7 +258,9 @@ def contrast_enhancement_batch(
     code, which selects exactly the pixels the float path flags (the
     gain scale is monotone per byte code).
     :func:`contrast_enhancement_batch_reference` keeps the direct float
-    implementation as the equivalence oracle.
+    implementation as the equivalence oracle, and
+    :func:`contrast_enhancement_frames` is the same kernel without the
+    gather into one batch array.
 
     Parameters
     ----------
@@ -240,8 +272,8 @@ def contrast_enhancement_batch(
         clipping, mirroring the annotated stream's full-backlight
         short-circuit (a gain of exactly 1 round-trips uint8 pixels).
     out:
-        Optional preallocated ``(N, H, W, 3)`` uint8 output (e.g. from a
-        :class:`ChunkArena`); a fresh array is allocated when omitted.
+        Optional preallocated ``(N, H, W, 3)`` uint8 output; a fresh
+        array is allocated when omitted.
     fractions:
         Optional precomputed per-frame clipped fractions, ``(N,)`` float.
         When given, the kernel skips the peak-channel reduction entirely
@@ -260,8 +292,7 @@ def contrast_enhancement_batch(
         The compensated ``(N, H, W, 3)`` uint8 batch (``out`` when given)
         and the per-frame clipped fraction as an ``(N,)`` float array.
     """
-    pixels, g = _check_batch_args(pixels, gains)
-    n = pixels.shape[0]
+    pixels, _ = _check_batch_args(pixels, gains)
     if out is None:
         out = np.empty_like(pixels)
     elif (
@@ -272,38 +303,9 @@ def contrast_enhancement_batch(
         raise ValueError(
             f"out must be a uint8 array of shape {pixels.shape}"
         )
-    if fractions is not None:
-        fractions = np.asarray(fractions, dtype=np.float64)
-        if fractions.shape != (n,):
-            raise ValueError(
-                f"fractions must have shape ({n},), got {fractions.shape}"
-            )
-        compute_fractions = False
-    else:
-        fractions = np.zeros(n)
-        compute_fractions = True
-    # Gains are per-scene, so equal-gain frames form contiguous runs;
-    # each run is one LUT lookup plus one peak-channel reduction.
-    lo = 0
-    while lo < n:
-        hi = lo + 1
-        while hi < n and g[hi] == g[lo]:
-            hi += 1
-        gain = float(g[lo])
-        run = pixels[lo:hi]
-        if gain <= 1.0:
-            out[lo:hi] = run
-        else:
-            lut, clip_code = gain_lut(gain)
-            _apply_lut(lut, run, out[lo:hi])
-            if compute_fractions and clip_code <= int(MAX_CHANNEL):
-                # Chained np.maximum over the channel views — same idiom
-                # (and same speedup) as FrameChunk.peak_channel_u8.
-                peak = np.maximum(
-                    np.maximum(run[..., 0], run[..., 1]), run[..., 2]
-                )
-                fractions[lo:hi] = (peak >= clip_code).mean(axis=(1, 2))
-        lo = hi
+    frames, fractions = contrast_enhancement_frames(pixels, gains, fractions)
+    for k, frame in enumerate(frames):
+        out[k] = frame
     return out, fractions
 
 

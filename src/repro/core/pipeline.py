@@ -19,7 +19,8 @@ exact thing the client plays back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,10 +43,9 @@ from .annotation import (
     SceneAnnotation,
 )
 from .compensation import (
-    ChunkArena,
     CompensationResult,
     contrast_enhancement,
-    contrast_enhancement_batch,
+    contrast_enhancement_frames,
     gain_lut,
 )
 from .engine import EngineSpec, resolve_engine
@@ -69,6 +69,26 @@ class ProfileResult:
     def scene_max_series(self) -> np.ndarray:
         """Per-frame scene maximum (Figure 6's step function)."""
         return SceneDetector.scene_max_series(self.scenes, len(self.stats))
+
+    @cached_property
+    def peak_tails(self) -> Optional[np.ndarray]:
+        """Per-frame peak-channel tail counts, ``(frames, 257)``.
+
+        ``tails[i, c]`` is the number of pixels of frame ``i`` whose peak
+        channel byte is ``>= c`` (column 256 is zero).  Computed once per
+        profile, and only from exact counts: ``None`` unless every
+        frame's histogram holds whole pixels and the same total of them
+        (the plain analyzer's; weighted histograms never qualify).
+        """
+        if not self.stats:
+            return None
+        counts = np.stack([s.channel_histogram.counts for s in self.stats])
+        tails = np.zeros((counts.shape[0], counts.shape[1] + 1))
+        tails[:, :-1] = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]
+        totals = tails[:, 0]
+        if np.any(counts != np.rint(counts)) or np.any(totals != totals[0]):
+            return None
+        return tails
 
 
 class AnnotationPipeline:
@@ -272,11 +292,10 @@ class AnnotatedStream:
         # Per-frame FrameStats from the (plain-analyzer) profiling pass,
         # when the builder had them: their exact peak-channel histograms
         # let clipped fractions be derived without touching pixels.
-        self._profile_stats = (
-            profile.stats
-            if profile is not None and len(profile.stats) == clip.frame_count
-            else None
-        )
+        if profile is not None and len(profile.stats) != clip.frame_count:
+            profile = None
+        self._profile = profile
+        self._profile_stats = profile.stats if profile is not None else None
         self._levels = track.per_frame_levels()
         self._gains = track.per_frame_gains()
         self.policy = get_policy(track.policy)
@@ -350,7 +369,6 @@ class AnnotatedStream:
         self,
         chunk_size: Optional[int] = None,
         lead: Optional[int] = None,
-        reuse_output: bool = False,
         start: int = 0,
     ) -> Iterator[CompensatedChunk]:
         """Yield the compensated stream as :class:`CompensatedChunk` batches.
@@ -364,18 +382,16 @@ class AnnotatedStream:
         time-to-first-frame lever).  A positive ``start`` begins emission
         mid-clip — mid-stream adaptation re-binds a session at a scene
         boundary and continues from there without recompensating the
-        prefix.  ``reuse_output=True`` compensates
-        into a reused :class:`~repro.core.compensation.ChunkArena`
-        buffer: each yielded chunk's pixels are overwritten by the next
-        iteration, so the consumer must fully copy/encode a chunk before
-        advancing.
+        prefix.  Every yielded frame owns its buffer, so chunks stay
+        valid after the iterator advances.
 
         Total over every clip: when the clip mixes frame resolutions
         (the batch cannot be stacked) the rest of the stream is finished
         over the same spans through :meth:`compensated_frame`, and
         streams built under the ``"perframe"`` engine take that path
         from the start — the byte-identity reference for serving.  Those
-        chunks carry a sequence of per-frame arrays as ``pixels``.
+        chunks, and those of gain-only tracks, carry a sequence of
+        per-frame arrays as ``pixels``.
         """
         if chunk_size is None:
             shape = self.clip.frame_shape()
@@ -391,13 +407,12 @@ class AnnotatedStream:
         )
         produced = start
         if not self._perframe:
-            arena = ChunkArena() if reuse_output else None
             try:
                 for chunk in self.clip.iter_chunks(chunk_size, lead=lead, start=start):
                     gains = self._gains[chunk.start : chunk.stop]
                     with trace("pipeline.compensate"):
                         pixels, fractions = self._compensate_pixels(
-                            chunk.pixels, chunk.start, chunk.stop, gains, arena=arena
+                            chunk.pixels, chunk.start, chunk.stop, gains
                         )
                     frames_counter.inc(chunk.stop - chunk.start)
                     produced, lead = chunk.stop, None
@@ -423,42 +438,38 @@ class AnnotatedStream:
                 clipped_fractions=np.array([r.clipped_fraction for r in results]),
             )
 
-    def _histogram_fractions(self) -> Optional[np.ndarray]:
-        """Per-frame clipped fractions from the profile's histograms.
+    def _histogram_fractions(
+        self, start: int = 0, stop: Optional[int] = None
+    ) -> Optional[np.ndarray]:
+        """Clipped fractions of frames ``[start, stop)`` from the profile.
 
         The analyzer's ``channel_histogram`` counts each frame's peak
         channel bytes exactly, and a pixel clips at gain ``g`` iff its
         peak byte is >= the LUT's clip code — so the clipped fraction is
-        a histogram tail sum over total pixels, bit-identical to the
+        a histogram tail count over total pixels, bit-identical to the
         pixel-path reduction (both divide the same integer count by the
-        same pixel total in float64).  Computed once per stream, O(256)
-        per frame; returns ``None`` when profile stats are unavailable
-        or the track is not gain-only.  Fills the same
-        ``_clipped_fractions`` cache the quality metrics use.
+        same pixel total in float64).  The tails come from the profile's
+        :attr:`~ProfileResult.peak_tails`, built once per profile, so a
+        chunk costs one lookup per scene it spans.  Returns ``None``
+        when profile stats are unavailable, inexact, or count a
+        different frame size, or when the track is not gain-only.
         """
         if not self._all_gain or self._profile_stats is None:
             return None
-        if self._clipped_fractions is None:
-            shape = self.clip.frame_shape()
-            if shape is None:
-                return None  # mixed resolutions: per-frame path handles it
-            npix = int(shape[0]) * int(shape[1])
-            fractions = np.zeros(self.frame_count)
-            clip_codes = {}  # a scene's frames share one gain
-            for i, stats in enumerate(self._profile_stats):
-                gain = float(self._gains[i])
-                if gain <= 1.0:
-                    continue
-                counts = stats.channel_histogram.counts
-                if int(counts.sum()) != npix:
-                    return None  # weighted/partial histograms: no shortcut
-                clip_code = clip_codes.get(gain)
-                if clip_code is None:
-                    clip_code = clip_codes[gain] = gain_lut(gain)[1]
-                if clip_code < len(counts):
-                    fractions[i] = int(counts[clip_code:].sum()) / npix
-            self._clipped_fractions = fractions
-        return self._clipped_fractions
+        tails = self._profile.peak_tails
+        shape = self.clip.frame_shape()
+        if tails is None or shape is None:
+            return None
+        npix = int(shape[0]) * int(shape[1])
+        if tails[0, 0] != npix:
+            return None
+        stop = self.frame_count if stop is None else stop
+        fractions = np.empty(stop - start)
+        for lo, hi, _ in self._scene_runs(start, stop):
+            gain = float(self._gains[lo])  # a scene's frames share one gain
+            code = gain_lut(gain)[1] if gain > 1.0 else tails.shape[1] - 1
+            fractions[lo - start : hi - start] = tails[lo:hi, code] / npix
+        return fractions
 
     def _compensate_pixels(
         self,
@@ -466,16 +477,11 @@ class AnnotatedStream:
         start: int,
         stop: int,
         gains: np.ndarray,
-        arena: Optional[ChunkArena] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[Union[np.ndarray, List[np.ndarray]], np.ndarray]:
         """Compensate one raw chunk: vectorized gains or per-scene runs."""
         if self._all_gain:
-            out = arena.request(pixels.shape) if arena is not None else None
-            fractions = self._histogram_fractions()
-            if fractions is not None:
-                fractions = fractions[start:stop]
-            return contrast_enhancement_batch(
-                pixels, gains, out=out, fractions=fractions
+            return contrast_enhancement_frames(
+                pixels, gains, fractions=self._histogram_fractions(start, stop)
             )
         out_parts = []
         fraction_parts = []
@@ -484,6 +490,15 @@ class AnnotatedStream:
             out_parts.append(part)
             fraction_parts.append(fractions)
         return np.concatenate(out_parts), np.concatenate(fraction_parts)
+
+    def transform_keys(self, start: int, stop: int) -> List[Hashable]:
+        """The :attr:`~repro.core.policies.PixelTransform.key` of each
+        frame in ``[start, stop)``: with the clip and the frame index it
+        determines the frame's compensated bytes."""
+        keys: List[Hashable] = []
+        for lo, hi, transform in self._scene_runs(start, stop):
+            keys.extend([transform.key] * (hi - lo))
+        return keys
 
     def __iter__(self) -> Iterator[Tuple[Frame, int]]:
         for chunk in self.iter_chunks():

@@ -18,7 +18,7 @@ property the chunked engine relies on.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Hashable, Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from ...video.frame import Frame, MAX_CHANNEL
 from ..compensation import (
     CompensationResult,
     _apply_lut,
+    _lut_frames,
     contrast_enhancement,
     contrast_enhancement_batch,
 )
@@ -52,6 +53,12 @@ class PixelTransform:
     #: kernel call per chunk with a per-frame gain vector) when every
     #: scene transform is a gain.
     is_gain: bool = False
+
+    @property
+    def key(self) -> Hashable:
+        """Identity of the pixel mapping: transforms with equal keys turn
+        any frame into the same bytes (the server's record-CRC key)."""
+        raise NotImplementedError
 
     def apply_frame(self, frame: Frame) -> CompensationResult:
         """Compensate one frame; returns the frame plus clipped fraction."""
@@ -80,6 +87,11 @@ class GainTransform(PixelTransform):
         if gain <= 0:
             raise ValueError(f"gain must be positive, got {gain}")
         self.gain = gain
+
+    @property
+    def key(self) -> float:
+        """The gain."""
+        return self.gain
 
     def apply_frame(self, frame: Frame) -> CompensationResult:
         """Scale one frame by the gain (pass-through at full backlight)."""
@@ -124,12 +136,18 @@ class LutTransform(PixelTransform):
             raise ValueError(f"clip_code must be in [0, 255], got {clip_code}")
         self.lut = lut
         self.clip_code = int(clip_code)
+        self._key = lut.tobytes()
+
+    @property
+    def key(self) -> bytes:
+        """The LUT's 256 bytes (the clip code never touches pixels)."""
+        return self._key
 
     def apply_frame(self, frame: Frame) -> CompensationResult:
         """Look one frame up through the tone curve."""
         pixels = frame.pixels
         fraction = float((pixels.max(axis=-1) > self.clip_code).mean())
-        looked_up = _apply_lut(self.lut, pixels[None])[0]
+        looked_up = _lut_frames(self.lut, pixels[None])[0]
         return CompensationResult(
             frame=Frame(looked_up, index=frame.index),
             clipped_fraction=fraction,
@@ -172,6 +190,11 @@ class SpatialTransform(PixelTransform):
             raise ValueError(f"gain must be positive, got {gain}")
         self.scale = scale
         self.gain = gain
+
+    @property
+    def key(self) -> Tuple[int, float]:
+        """Scale plus gain."""
+        return (self.scale, self.gain)
 
     # ------------------------------------------------------------------
     def _downscaled(self, pixels: np.ndarray) -> np.ndarray:

@@ -100,9 +100,13 @@ class ProfileCache:
     max_entries:
         Profiles retained; least-recently-used entries are evicted first.
         ``0`` disables caching entirely (every lookup misses).
+    kind:
+        Prefix of the instance's ``cache`` telemetry label
+        (``profile-N``); other users of the class name their own.
     """
 
-    def __init__(self, max_entries: int = DEFAULT_PROFILE_CACHE_ENTRIES):
+    def __init__(self, max_entries: int = DEFAULT_PROFILE_CACHE_ENTRIES,
+                 kind: str = "profile"):
         if max_entries < 0:
             raise ValueError(f"max_entries must be non-negative, got {max_entries}")
         self.max_entries = int(max_entries)
@@ -111,7 +115,8 @@ class ProfileCache:
         # Per-instance telemetry series: a unique cache label keeps fresh
         # instances at zero while the shared registry aggregates them all.
         reg = telemetry_registry()
-        labels = {"cache": f"profile-{next(_CACHE_SEQ)}"}
+        self._registered = reg.generation
+        labels = {"cache": f"{kind}-{next(_CACHE_SEQ)}"}
         self._hit_counter = reg.counter(
             "repro_cache_hits_total", help="Cache lookups served from the cache.",
             labels=labels,
@@ -132,13 +137,18 @@ class ProfileCache:
         """Re-attach this cache's series after a registry reset.
 
         Long-lived caches (the process-wide shared instance) outlive
-        test-isolation resets; idempotent re-registration keeps their
-        series visible in snapshots.  Cheap: one lock + dict hit each.
+        test-isolation resets; re-registering keeps their series visible
+        in snapshots.  Runs only once per reset: a lookup otherwise
+        costs one integer compare here, not four registry locks.
         """
         reg = telemetry_registry()
+        generation = reg.generation
+        if self._registered == generation:
+            return
         for metric in (self._hit_counter, self._miss_counter,
                        self._eviction_counter, self._entries_gauge):
             reg.register(metric)
+        self._registered = generation
 
     # ------------------------------------------------------------------
     @property

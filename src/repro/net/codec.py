@@ -25,7 +25,10 @@ Bodies: control and annotation packets carry their payload bytes verbatim
 (annotation payloads are already the RLE/varint-compressed track format of
 :mod:`repro.core.annotation`); frame packets carry the raw ``(H, W, 3)``
 uint8 pixel block.  :func:`encode_packet` returns the header and the pixel
-buffer as separate buffers so frame payloads are written zero-copy.
+buffer as separate buffers so frame payloads are written zero-copy, and
+takes a frame record's CRC from a store of computed CRCs when the packet
+names its content (``MediaPacket.crc_key``), reading the body only on a
+miss.
 
 Reading: :class:`RecordProtocol` assembles a connection's records for
 the client and the fault relay.  It validates each header before it
@@ -55,6 +58,7 @@ from typing import Awaitable, Callable, Deque, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..core.profile_cache import ProfileCache
 from ..streaming.client import StreamProtocolError
 from ..streaming.packets import PACKET_HEADER_BYTES, MediaPacket, PacketType
 from ..video.frame import Frame
@@ -70,6 +74,9 @@ WIRE_HEADER_BYTES = PACKET_HEADER_BYTES
 #: wire_bytes, crc32>``
 _HEADER = struct.Struct("<4sBBHIIIHHII")
 assert _HEADER.size == WIRE_HEADER_BYTES, "wire header must match the model charge"
+#: The header without its CRC: the 28 bytes the CRC covers before the body.
+_PREFIX = struct.Struct(_HEADER.format[:-1])
+_CRC = struct.Struct("<I")
 
 #: Sentinel for "field absent" in the u32 frame-index / wire-bytes slots.
 _ABSENT = 0xFFFFFFFF
@@ -102,12 +109,20 @@ def _frame_body(frame: Frame) -> memoryview:
     return memoryview(pixels).cast("B")
 
 
-def encode_packet(packet: MediaPacket) -> List[Union[bytes, memoryview]]:
+def encode_packet(
+    packet: MediaPacket, crcs: Optional[ProfileCache] = None
+) -> List[Union[bytes, memoryview]]:
     """Encode a packet as ``[header, body]`` buffers.
 
     Frame bodies are returned as a memoryview over the pixel array —
     no copy is made; pass the list straight to ``StreamWriter.write``
     (via :func:`encode_packet_bytes` or ``writer.writelines``).
+
+    ``crcs`` is a store of record CRCs (the media server's
+    ``record_crcs``).  A packet stamped with a ``crc_key`` looks its CRC
+    up there under ``(crc_key, header prefix)`` and computes it only on
+    a miss, so a body served again is not read again; the bytes are the
+    same either way.
     """
     if packet.seq > _ABSENT - 1:
         raise WireFormatError(f"seq {packet.seq} exceeds the u32 wire field")
@@ -129,7 +144,7 @@ def encode_packet(packet: MediaPacket) -> List[Union[bytes, memoryview]]:
     wire_bytes = packet.wire_bytes
     if wire_bytes is not None and wire_bytes > _ABSENT - 1:
         raise WireFormatError(f"wire_bytes {wire_bytes} exceeds the u32 wire field")
-    prefix = _HEADER.pack(
+    prefix = _PREFIX.pack(
         WIRE_MAGIC,
         WIRE_VERSION,
         _TYPE_CODES[packet.ptype],
@@ -140,11 +155,17 @@ def encode_packet(packet: MediaPacket) -> List[Union[bytes, memoryview]]:
         height,
         width,
         _ABSENT if wire_bytes is None else wire_bytes,
-        0,
     )
-    crc = zlib.crc32(body, zlib.crc32(prefix[:-4]))
-    header = prefix[:-4] + struct.pack("<I", crc)
-    return [header, body]
+    key = packet.crc_key
+    if key is None or crcs is None:
+        crc = zlib.crc32(body, zlib.crc32(prefix))
+    else:
+        key = (key, prefix)
+        crc = crcs.get(key)
+        if crc is None:
+            crc = zlib.crc32(body, zlib.crc32(prefix))
+            crcs.put(key, crc)
+    return [prefix + _CRC.pack(crc), body]
 
 
 def encode_packet_bytes(packet: MediaPacket) -> bytes:

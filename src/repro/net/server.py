@@ -121,13 +121,13 @@ class _WireSteps:
 
     The session task runs :meth:`step` on the server's compute executor,
     never two at once, so the batch generator advances on one thread at
-    a time and a reused chunk arena is fully copied out before the next
-    call.  A step pulls groups from
+    a time.  A step pulls groups from
     :meth:`~repro.streaming.server.MediaServer.stream_batches` up to and
     including the next one that carries a frame (control-only groups —
     the head, a switch's ack and annotation — ride with it) and encodes
     them into contiguous wire buffers that flush at the ``batch_records``
-    / ``batch_bytes`` thresholds.
+    / ``batch_bytes`` thresholds.  Frame records take their CRCs from the
+    media server's :attr:`~repro.streaming.server.MediaServer.record_crcs`.
 
     ``skip`` is a resume offset: the client already holds the first
     ``skip`` data records.  Past the head, the stream *seeks*:
@@ -192,10 +192,10 @@ class _WireSteps:
                     is_data = packet.ptype is not PacketType.CONTROL
                     if not is_data or self.packet_count >= self._skip:
                         t0 = perf_counter()
-                        header, body = encode_packet(packet)
+                        header, body = encode_packet(packet, self._media.record_crcs)
                         buffer += header
                         if len(body):
-                            buffer += body  # copies the payload out of the arena
+                            buffer += body
                         self.encode_s += perf_counter() - t0
                         records += 1
                         if (records >= self._batch_records

@@ -10,8 +10,8 @@ negotiation messages.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Hashable, Optional
 
 from ..video.frame import Frame
 
@@ -36,7 +36,10 @@ class MediaPacket:
     :attr:`size_bytes`, not paid in copies), other packets carry bytes.
     ``wire_bytes`` overrides the body size on the network — set by servers
     that model an encoded bitstream while handing decoded pixels to the
-    in-process client.
+    in-process client.  ``crc_key`` names a frame body's content (the
+    media server's clip registration, frame index and transform key):
+    the wire encoder reuses a record's CRC under it.  It is not part of
+    the packet's value, so it never affects equality.
     """
 
     seq: int
@@ -45,6 +48,7 @@ class MediaPacket:
     frame: Optional[Frame] = None
     frame_index: Optional[int] = None
     wire_bytes: Optional[int] = None
+    crc_key: Optional[Hashable] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.seq < 0:
@@ -80,10 +84,12 @@ def annotation_packet(seq: int, payload: bytes) -> MediaPacket:
 
 
 def frame_packet(seq: int, frame: Frame, frame_index: int,
-                 wire_bytes: Optional[int] = None) -> MediaPacket:
+                 wire_bytes: Optional[int] = None,
+                 crc_key: Optional[Hashable] = None) -> MediaPacket:
     """Build a frame packet (optionally with an encoded wire size)."""
     return MediaPacket(seq=seq, ptype=PacketType.FRAME, frame=frame,
-                       frame_index=frame_index, wire_bytes=wire_bytes)
+                       frame_index=frame_index, wire_bytes=wire_bytes,
+                       crc_key=crc_key)
 
 
 def control_packet(seq: int, payload: bytes) -> MediaPacket:

@@ -55,6 +55,12 @@ LEAD_CHUNK_FRAMES = 8
 #: batch_records).
 WIRE_CHUNK_FRAMES = 16
 
+#: Bound of each server's record-CRC store (:attr:`MediaServer.record_crcs`).
+#: An entry is a key (registration serial, frame index, transform key,
+#: 28-byte header prefix) and one CRC: a few hundred bytes, so the store
+#: holds at most a few MB however many bindings clients ask for.
+RECORD_CRC_ENTRIES = 8192
+
 #: One mid-stream switch: ``(frame, quality, ambient_spec_or_None)``.
 #: ``frame`` is the scene-boundary frame the new binding takes effect at.
 Switch = Tuple[int, float, Optional[str]]
@@ -231,6 +237,15 @@ class MediaServer:
         trace's condition at the scene's start time — the simulated
         light-sensor loop — instead of the dark-room annotation-time
         bind.  ``None`` keeps the classic bind.
+
+    A compensated frame record is the same bytes for every client that
+    binds the same transform, so the server keeps each record's CRC32 in
+    :attr:`record_crcs`, a :class:`~repro.core.profile_cache.ProfileCache`
+    of :data:`RECORD_CRC_ENTRIES` entries.  Frame packets carry their
+    key in ``crc_key``: the clip's registration serial (new whenever
+    :meth:`add_clip` puts another object under the name), the frame
+    index and the frame's transform key; the wire encoder adds the
+    header prefix.
     """
 
     def __init__(
@@ -256,7 +271,13 @@ class MediaServer:
             profile_cache if profile_cache is not None else shared_profile_cache()
         )
         self.policy = resolve_policy(policy)
-        self._clips: Dict[str, ClipBase] = {}
+        #: Record CRCs by (serial, frame, transform key, header prefix).
+        self.record_crcs = ProfileCache(
+            max_entries=RECORD_CRC_ENTRIES, kind="record-crc"
+        )
+        # name -> (clip, registration serial)
+        self._clips: Dict[str, Tuple[ClipBase, int]] = {}
+        self._clip_serials = itertools.count(1)
         self._encoded: Dict[str, object] = {}
         self._profiles: Dict[str, ProfileResult] = {}
         self._tracks: Dict[Tuple, AnnotationTrack] = {}
@@ -286,18 +307,22 @@ class MediaServer:
 
         Re-registering a name with a *different* clip object drops every
         name-keyed derivative (profile, tracks, encoded sizes), so stale
-        annotations can never be served for replaced content.  The shared
+        annotations can never be served for replaced content, and draws
+        a new registration serial, so no record CRC computed for the old
+        object is reused.  The shared
         content-keyed profile cache makes the common same-pixels case
         cheap: the fresh profile lookup hits by fingerprint.
         """
         existing = self._clips.get(clip.name)
-        if existing is not None and existing is not clip:
+        if existing is not None:
+            if existing[0] is clip:
+                return
             self._profiles.pop(clip.name, None)
             self._dvfs_tracks.pop(clip.name, None)
             self._encoded.pop(clip.name, None)
             for key in [k for k in self._tracks if k[0] == clip.name]:
                 del self._tracks[key]
-        self._clips[clip.name] = clip
+        self._clips[clip.name] = (clip, next(self._clip_serials))
 
     def catalog(self) -> Tuple[str, ...]:
         """Names of all registered clips, sorted."""
@@ -306,9 +331,15 @@ class MediaServer:
     def get_clip(self, name: str) -> ClipBase:
         """Look up a clip by name; NegotiationError if absent."""
         try:
-            return self._clips[name]
+            return self._clips[name][0]
         except KeyError:
             raise NegotiationError(f"clip {name!r} not in catalog") from None
+
+    def _clip_serial(self, name: str, clip: ClipBase) -> Optional[int]:
+        """The registration serial of ``clip`` under ``name``, or ``None``
+        when the name no longer holds that object."""
+        registered, serial = self._clips.get(name, (None, None))
+        return serial if registered is clip else None
 
     # ------------------------------------------------------------------
     # Annotation preparation (cached)
@@ -534,16 +565,14 @@ class MediaServer:
         both the batched kernel and the per-frame path (the
         ``"perframe"`` engine's reference emission, and clips that mix
         frame resolutions).  This is the flattened :meth:`stream_batches`
-        loop at the autotuned chunk span, with no lead chunk and no
-        buffer reuse: each emitted frame is a zero-copy view into its
-        own chunk, so yielded packets stay valid indefinitely.
+        loop at the autotuned chunk span, with no lead chunk.
         """
         annotated, head, seq, wire_sizes = self._stream_setup(session)
         yield from head
         for batch in self._emit_batches(
             session, annotated, 0, seq, wire_sizes,
             lead_chunk_frames=None, wire_chunk_frames=None,
-            adaptation=AdaptationControl(), reuse_output=False,
+            adaptation=AdaptationControl(),
         ):
             yield from batch
 
@@ -589,14 +618,8 @@ class MediaServer:
         :meth:`AdaptationControl.fast_forward` and :meth:`resume_point`),
         else the opening one — and the lead chunk starts at ``start``.
         Every record from there on is byte-identical to the same record
-        of the uninterrupted stream.
-
-        **Aliasing contract**: batches compensate into a reused
-        arena buffer, so a batch's frame payloads are only valid until
-        the generator is advanced — consumers must fully encode/copy a
-        batch before requesting the next.  (The wire server's
-        compensation step copies each packet into its coalesced send
-        buffer immediately, so this holds by construction there.)
+        of the uninterrupted stream.  Each frame packet's pixels are
+        their own buffer, valid after the generator advances.
         """
         if adaptation is None:
             adaptation = AdaptationControl()
@@ -624,7 +647,6 @@ class MediaServer:
         lead_chunk_frames: Optional[int],
         wire_chunk_frames: Optional[int],
         adaptation: AdaptationControl,
-        reuse_output: bool = True,
     ) -> Iterator[List[MediaPacket]]:
         """The frame-emission loop behind :meth:`stream_batches` and :meth:`stream`.
 
@@ -637,8 +659,7 @@ class MediaServer:
         post-switch frames and annotation bytes match a fresh fetch at
         the new binding exactly.  ``stream`` is ``None`` on a resume: it
         is bound on first use, to the last applied switch's binding.
-        ``reuse_output=False`` compensates into fresh chunk buffers, so
-        the packets stay valid after the generator advances.
+        Each frame packet carries its :attr:`record_crcs` key.
         """
         frame_count = self.get_clip(session.clip_name).frame_count
         applied = adaptation.applied
@@ -678,10 +699,10 @@ class MediaServer:
                         session, quality=quality, ambient=ambient
                     )
             if not due:
+                serial = self._clip_serial(session.clip_name, stream.clip)
                 for chunk in stream.iter_chunks(
                     chunk_size=wire_chunk_frames,
                     lead=lead,
-                    reuse_output=reuse_output,
                     start=pos,
                 ):
                     lead = None
@@ -695,6 +716,7 @@ class MediaServer:
                         chunk.stop if pending is None
                         else min(chunk.stop, pending[0])
                     )
+                    keys = stream.transform_keys(chunk.start, stop)
                     batch = []
                     for k in range(stop - chunk.start):
                         i = chunk.start + k
@@ -705,6 +727,10 @@ class MediaServer:
                         batch.append(frame_packet(
                             seq_base + i, chunk.frame(k),
                             frame_index=i, wire_bytes=wire,
+                            crc_key=(
+                                None if serial is None
+                                else (serial, i, keys[k])
+                            ),
                         ))
                     self._frames_streamed_counter.inc(len(batch))
                     yield batch

@@ -324,6 +324,9 @@ class MetricsRegistry:
     def __init__(self):
         self._metrics: "OrderedDict[Tuple, Metric]" = OrderedDict()
         self._lock = threading.RLock()
+        #: Bumped by every :meth:`reset`, so holders of per-instance
+        #: series know when to :meth:`register` them again.
+        self.generation = 0
 
     # ------------------------------------------------------------------
     def _get_or_create(self, cls, name, help, labels, **kwargs) -> Metric:
@@ -399,6 +402,7 @@ class MetricsRegistry:
         """Drop every registered metric (used for test isolation)."""
         with self._lock:
             self._metrics.clear()
+            self.generation += 1
 
     def __len__(self) -> int:
         with self._lock:

@@ -252,6 +252,7 @@ class TestLutKernelEdgeCases:
         from repro.core import (
             contrast_enhancement_batch,
             contrast_enhancement_batch_reference,
+            contrast_enhancement_frames,
         )
 
         got_px, got_fr = contrast_enhancement_batch(pixels, gains, out=out)
@@ -262,6 +263,14 @@ class TestLutKernelEdgeCases:
         assert not np.shares_memory(got_px, pixels)
         if out is not None:
             assert got_px is out
+        # The per-frame form: same bytes, each frame its own buffer.
+        frames, frame_fr = contrast_enhancement_frames(pixels, gains)
+        assert len(frames) == len(ref_px)
+        for frame, ref in zip(frames, ref_px):
+            assert np.array_equal(frame, ref)
+            assert frame.flags.writeable and frame.flags.c_contiguous
+            assert not np.shares_memory(frame, pixels)
+        assert np.array_equal(frame_fr, ref_fr)
         return got_px
 
     def test_non_contiguous_inputs(self):
@@ -274,15 +283,11 @@ class TestLutKernelEdgeCases:
         self._assert_matches_reference(pixels[::2], gains[::2])
 
     def test_out_from_an_arena_larger_than_the_request(self):
-        from repro.core import ChunkArena
-
-        arena = ChunkArena()
-        big = arena.request((16, 12, 10, 3))
-        big[:] = 7
+        big = np.full((16, 12, 10, 3), 7, dtype=np.uint8)
         pixels = self._batch(n=5)
         gains = np.array([1.3, 1.3, 1.0, 4.0, 0.5])
-        out = arena.request(pixels.shape)
-        assert out.base is big.base and out.size < big.size
+        out = big.reshape(-1)[:pixels.size].reshape(pixels.shape)
+        assert out.base is big and out.size < big.size
         self._assert_matches_reference(pixels, gains, out=out)
         # Bytes past the request are untouched.
         assert np.all(big.reshape(-1)[out.size:] == 7)
@@ -301,39 +306,3 @@ class TestLutKernelEdgeCases:
         got = self._assert_matches_reference(pixels, gains)
         for k in np.flatnonzero(gains <= 1.0):
             assert np.array_equal(got[k], pixels[k])
-
-
-class TestChunkArena:
-    def test_reuses_buffer_for_equal_or_smaller_requests(self):
-        from repro.core import ChunkArena
-
-        arena = ChunkArena()
-        a = arena.request((4, 6, 5, 3))
-        a_base = a.base
-        b = arena.request((4, 6, 5, 3))
-        assert b.base is a_base
-        smaller = arena.request((2, 6, 5, 3))
-        assert smaller.base is a_base
-
-    def test_grows_for_larger_requests(self):
-        from repro.core import ChunkArena
-
-        arena = ChunkArena()
-        small = arena.request((2, 4, 4, 3))
-        big = arena.request((8, 4, 4, 3))
-        assert big.size > small.size
-        assert big.shape == (8, 4, 4, 3)
-
-    def test_arena_output_bit_identical_to_fresh(self):
-        from repro.core import ChunkArena, contrast_enhancement_batch
-
-        rng = np.random.default_rng(9)
-        arena = ChunkArena()
-        for seed in range(3):
-            pixels = rng.integers(0, 256, size=(6, 9, 7, 3), dtype=np.uint8)
-            fresh_px, fresh_fr = contrast_enhancement_batch(pixels, 1.8)
-            arena_px, arena_fr = contrast_enhancement_batch(
-                pixels, 1.8, out=arena.request(pixels.shape)
-            )
-            assert np.array_equal(arena_px, fresh_px)
-            assert np.array_equal(arena_fr, fresh_fr)

@@ -2,10 +2,14 @@
 
 Each case streams one session through :class:`~repro.streaming.server.MediaServer`
 and the real wire codec the way the TCP server's producer does (head,
-then frame batches; a resume seeks with
+then frame batches, encoded through the server's record-CRC store; a
+resume seeks with
 :meth:`~repro.streaming.server.MediaServer.resume_point` and drops the
 records the client already holds), and digests the encoded data records
-(annotations, frames) plus the closing ``end`` record.  The digests in
+(annotations, frames) plus the closing ``end`` record.  Every base stream
+is encoded twice back to back, once filling the store and once served
+from it; the case's digest is the two digests joined by ``!=`` when
+they differ, so either pass moving fails the comparison.  The digests in
 ``wire_digests.json`` were recorded from the code, so they share no code
 with what they check: any change to a digest is a change to the served
 bytes or to the wire format.
@@ -107,7 +111,9 @@ def stream_records(
     for group in media.stream_batches(session, adaptation=adaptation, start=start):
         for packet in group:
             if packet_count >= skip:
-                yield b"".join(bytes(part) for part in encode_packet(packet))
+                yield b"".join(
+                    bytes(part) for part in encode_packet(packet, media.record_crcs)
+                )
                 sent += 1
             packet_count += 1
             if packet.ptype is PacketType.FRAME:
@@ -150,8 +156,12 @@ def compute_digests() -> Dict[str, str]:
             for clip in PAPER_CLIP_NAMES:
                 for quality in QUALITY_LEVELS:
                     for device in DEVICES:
-                        digests[f"{prefix}/{clip}/q{quality}/{device}"], _ = (
-                            _digest(stream_records(media, clip, quality, device))
+                        filled, hit = (
+                            _digest(stream_records(media, clip, quality, device))[0]
+                            for _ in range(2)
+                        )
+                        digests[f"{prefix}/{clip}/q{quality}/{device}"] = (
+                            filled if filled == hit else f"{filled}!={hit}"
                         )
                 variant = f"{prefix}/{clip}/q{VARIANT_QUALITY}/{VARIANT_DEVICE}"
                 plan = _plan(media, clip)

@@ -110,15 +110,22 @@ class TestServingBitIdentity:
         _assert_streams_identical(reference, candidate, "chunked")
         assert sum(p.ptype is PacketType.FRAME for p in candidate) == len(frames)
 
-    def test_frame_packets_are_views_into_chunks(self, tiny_clip):
-        # Chunked emission must not copy pixels per frame: consecutive
-        # frame packets share their chunk's base buffer.
+    def test_frame_packets_are_their_lut_buffers(self, tiny_clip):
+        # Chunked emission copies no pixels after the LUT lookup: each
+        # compensated frame packet views the bytearray the lookup wrote,
+        # and no two packets share a buffer.
         packets = _packets(_server(tiny_clip, "chunked"), tiny_clip)
         frames = [p.frame for p in packets if p.ptype is PacketType.FRAME]
         assert len(frames) == tiny_clip.frame_count
-        bases = {id(f.pixels.base) for f in frames if f.pixels.base is not None}
-        assert bases, "expected zero-copy chunk views"
-        assert len(bases) < len(frames)
+        owners = []
+        for frame in frames:
+            owner = frame.pixels
+            while owner is not None and not isinstance(owner, bytearray):
+                owner = (owner.obj if isinstance(owner, memoryview)
+                         else owner.base)
+            owners.append(owner if owner is not None else frame.pixels)
+        assert any(isinstance(owner, bytearray) for owner in owners)
+        assert len({id(owner) for owner in owners}) == len(frames)
 
     @pytest.mark.parametrize("kind", ENGINE_KINDS)
     def test_counter_matches_frames(self, kind, tiny_clip):

@@ -80,6 +80,34 @@ class TestCacheMetrics:
         pipeline.profile(tiny_clip)  # hit: re-registers the orphaned series
         assert any(m.value == 1 for m in registry().series("repro_cache_hits_total"))
 
+    def test_cache_used_across_resets_shows_in_snapshots(self):
+        """The first lookup after each reset registers a cache's series
+        again, so every later snapshot lists them."""
+        from repro.telemetry import reset_registry, snapshot
+
+        cache = ProfileCache(max_entries=1, kind="reset")
+        cache.put("a", 1)
+
+        def series():
+            return {
+                m["name"]: m["value"] for m in snapshot()["metrics"]
+                if m["labels"].get("cache", "").startswith("reset-")
+            }
+
+        for round_ in range(1, 3):
+            reset_registry()
+            assert series() == {}
+            assert cache.get("a") == 1
+            assert cache.get("b") is None
+            cache.put("b", 2)  # evicts "a"
+            cache.put("a", 1)  # evicts "b"
+            assert series() == {
+                "repro_cache_hits_total": round_,
+                "repro_cache_misses_total": round_,
+                "repro_cache_evictions_total": 2 * round_,
+                "repro_cache_entries": 1,
+            }
+
 
 class TestServiceCounters:
     def test_server_session_and_stream_counters(self, tiny_clip, fast_params):
