@@ -35,10 +35,10 @@ import socket
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ..net.codec import MAX_OPENING_RECORD_BYTES
 from ..net.config import ServeConfig
 from ..net.server import AnnotationStreamServer
 from ..streaming.server import MediaServer
-from .router import MAX_OPENING_RECORD_BYTES
 
 __all__ = ["WorkerSpec"]
 

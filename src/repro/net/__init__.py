@@ -20,7 +20,8 @@ stream on an actual socket:
   the frozen config objects behind the serve and fetch entry points
   (shared by the facade, the CLI and every :mod:`repro.fleet` worker).
 * :mod:`repro.net.server` — :class:`AnnotationStreamServer`: hosts many
-  concurrent sessions over ``asyncio.start_server``, each stepping its
+  concurrent sessions on one listening socket, each connection read
+  through the codec's record protocol and each session stepping its
   compensation one chunk ahead of its socket writes (backpressure),
   admission control with a bounded accept queue and busy-shedding,
   token-based session resume, graceful drain and clean cancellation.
@@ -45,7 +46,6 @@ from .codec import (
     decode_packet,
     encode_packet,
     encode_packet_bytes,
-    read_packet,
     wire_size,
 )
 from .config import FetchOptions, ServeConfig
@@ -106,7 +106,6 @@ __all__ = [
     "encode_packet",
     "encode_packet_bytes",
     "decode_packet",
-    "read_packet",
     "wire_size",
     "ServeConfig",
     "FetchOptions",

@@ -683,7 +683,7 @@ class AsyncMobileClient:
                     # without tripping the breaker.
                     self._busy_counter.inc()
                     last_error = exc
-                except (StreamProtocolError, asyncio.IncompleteReadError) as exc:
+                except StreamProtocolError as exc:
                     self._protocol_errors_counter.inc()
                     record_event("client_protocol_error", clip=clip_name,
                                  reason=str(exc))

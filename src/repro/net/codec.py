@@ -30,14 +30,15 @@ takes a frame record's CRC from a store of computed CRCs when the packet
 names its content (``MediaPacket.crc_key``), reading the body only on a
 miss.
 
-Reading: :class:`RecordProtocol` assembles a connection's records for
-the client and the fault relay.  It validates each header before it
-allocates the body, lets the socket fill a body buffer of exactly the
-announced length, and bounds its read-ahead; a decoded frame's pixels
-are a view of that buffer, so a frame is copied once, by the kernel.
-:func:`read_packet` reads one record off an asyncio stream (the server's
-control reads); :func:`sock_read_record` reads one raw record off a
-socket without reading past it (the fleet router).
+Reading: :class:`RecordProtocol` assembles a connection's records on
+every socket the server, the client and the fault relay own.  It
+checks each header, and the body against the connection's cap
+(:data:`MAX_OPENING_RECORD_BYTES` at a server, :data:`MAX_BODY_BYTES`
+at a client), before it allocates the body; it lets the socket fill a
+body buffer of exactly the announced length and bounds its read-ahead.
+A decoded frame's pixels are a view of that buffer, so a frame is
+copied once, by the kernel.  :func:`sock_read_record` reads one raw
+record off a socket without reading past it (the fleet router).
 
 Any malformed input — bad magic, unknown version/type, length or geometry
 mismatch, CRC failure, truncation — raises :class:`WireFormatError`, a
@@ -85,8 +86,12 @@ _ABSENT = 0xFFFFFFFF
 #: reader allocate gigabytes or block forever on bytes that never come.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Largest record (header + body) a peer may send to a server (and the
+#: fleet router hands to a shard): an opening request or a ``requality``.
+MAX_OPENING_RECORD_BYTES = 64 * 1024
+
 #: Most input a rejecting end reads and drops before it closes
-#: (:func:`discard_input`).
+#: (:func:`discard_input`, :meth:`RecordProtocol.discard`).
 DISCARD_LIMIT_BYTES = 1024 * 1024
 
 _TYPE_CODES = {
@@ -115,8 +120,8 @@ def encode_packet(
     """Encode a packet as ``[header, body]`` buffers.
 
     Frame bodies are returned as a memoryview over the pixel array —
-    no copy is made; pass the list straight to ``StreamWriter.write``
-    (via :func:`encode_packet_bytes` or ``writer.writelines``).
+    no copy is made; write both buffers to the transport in order
+    (or join them with :func:`encode_packet_bytes`).
 
     ``crcs`` is a store of record CRCs (the media server's
     ``record_crcs``).  A packet stamped with a ``crc_key`` looks its CRC
@@ -201,7 +206,8 @@ class _ParsedHeader:
     raw: bytes  # the header's 32 bytes as they arrived
 
 
-def _parse_header(buf: Union[bytes, memoryview]) -> _ParsedHeader:
+def _parse_header(buf: Union[bytes, memoryview],
+                  max_body_bytes: int = MAX_BODY_BYTES) -> _ParsedHeader:
     if len(buf) < WIRE_HEADER_BYTES:
         raise WireFormatError(
             f"truncated header: {len(buf)} of {WIRE_HEADER_BYTES} bytes"
@@ -220,6 +226,9 @@ def _parse_header(buf: Union[bytes, memoryview]) -> _ParsedHeader:
         raise WireFormatError(f"unknown packet type code {type_code}")
     if body_len > MAX_BODY_BYTES:
         raise WireFormatError(f"body length {body_len} exceeds MAX_BODY_BYTES")
+    if body_len > max_body_bytes:
+        raise WireFormatError(f"body length {body_len} exceeds "
+                              f"the {max_body_bytes}-byte limit")
     if ptype is PacketType.FRAME:
         if frame_index == _ABSENT:
             raise WireFormatError("frame record without a frame index")
@@ -320,11 +329,7 @@ async def sock_read_record(
             )
         record += chunk
         if len(record) == WIRE_HEADER_BYTES:
-            body_len = _parse_header(record).body_len
-            if body_len > max_body_bytes:
-                raise WireFormatError(f"body length {body_len} exceeds "
-                                      f"the {max_body_bytes}-byte limit")
-            size += body_len
+            size += _parse_header(record, max_body_bytes).body_len
     return bytes(record)
 
 
@@ -347,34 +352,6 @@ async def discard_input(
         limit -= len(chunk)
 
 
-async def read_packet(reader: asyncio.StreamReader) -> Optional[MediaPacket]:
-    """Read one record from an asyncio stream.
-
-    Returns ``None`` on a clean EOF at a record boundary; raises
-    :class:`WireFormatError` on truncation mid-record or any header/CRC
-    violation.  Callers own read timeouts (``asyncio.wait_for``).  The
-    server reads its peers' control records this way; the client reads
-    through :class:`RecordProtocol`.
-    """
-    try:
-        header = await reader.readexactly(WIRE_HEADER_BYTES)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise WireFormatError(
-            f"connection closed mid-header ({len(exc.partial)} bytes)"
-        ) from exc
-    head = _parse_header(header)
-    try:
-        body = await reader.readexactly(head.body_len)
-    except asyncio.IncompleteReadError as exc:
-        raise WireFormatError(
-            f"connection closed mid-body ({len(exc.partial)} of "
-            f"{head.body_len} bytes)"
-        ) from exc
-    return _build_packet(head, bytearray(body))
-
-
 #: Size of the scratch buffer :class:`RecordProtocol` reads headers and
 #: small records into.  A record that does not fit the rest of a scratch
 #: read gets its own buffer, which the socket then fills directly.
@@ -393,10 +370,11 @@ _Record = Tuple[_ParsedHeader, bytearray]
 class RecordProtocol(asyncio.BufferedProtocol):
     """One connection's wire records, each read into a buffer of its own.
 
-    The header of every record is validated (:func:`_parse_header`)
-    before anything is allocated for its body.  Records that fit the
-    rest of a :data:`SCRATCH_BYTES` read are split out of it; a larger
-    body gets a ``bytearray`` of its exact length, whose unfilled tail
+    The header of every record is validated (:func:`_parse_header`),
+    and the record checked against ``max_record_bytes``, before anything
+    is allocated for its body.  Records that fit the rest of a
+    :data:`SCRATCH_BYTES` read are split out of it; a larger body gets a
+    ``bytearray`` of its exact length, whose unfilled tail
     :meth:`get_buffer` hands to the transport, so the kernel copies the
     body straight into the buffer the decoded frame keeps.  Completed
     records wait undecoded; the transport pauses while the records
@@ -411,13 +389,18 @@ class RecordProtocol(asyncio.BufferedProtocol):
     failure are returned first.  One timer serves all reads: each read
     moves the deadline, and the timer re-arms itself when it fires early.
 
-    :meth:`write` / :meth:`drain` / :meth:`write_eof` / :meth:`close`
-    stand in for a ``StreamWriter``.  ``decode_s`` totals the CPU time spent parsing
-    headers and building packets.
+    The peer's EOF ends reading only; :meth:`write` / :meth:`drain` /
+    :meth:`write_eof` work until :meth:`close` or :meth:`abort`.
+    ``on_open`` is called with the protocol once it is connected (a
+    listening server starts the connection's task there).  ``decode_s``
+    totals the CPU time spent parsing headers and building packets.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, max_record_bytes: int = WIRE_HEADER_BYTES + MAX_BODY_BYTES,
+                 on_open: Optional[Callable[["RecordProtocol"], None]] = None):
         self._loop = asyncio.get_running_loop()
+        self._max_body_bytes = max_record_bytes - WIRE_HEADER_BYTES
+        self._on_open = on_open
         self._transport: Optional[asyncio.Transport] = None
         self._scratch = bytearray(SCRATCH_BYTES)
         self._scratch_view = memoryview(self._scratch)
@@ -432,6 +415,7 @@ class RecordProtocol(asyncio.BufferedProtocol):
         self._read_paused = False
         self._eof = False
         self._exc: Optional[BaseException] = None
+        self._discard_left: Optional[int] = None  # set while discarding
         self._waiter: Optional[asyncio.Future] = None
         self._deadline: Optional[float] = None
         self._timer: Optional[asyncio.TimerHandle] = None
@@ -443,6 +427,8 @@ class RecordProtocol(asyncio.BufferedProtocol):
     # -- asyncio.BufferedProtocol -------------------------------------
     def connection_made(self, transport) -> None:
         self._transport = transport
+        if self._on_open is not None:
+            self._on_open(self)
 
     def get_buffer(self, sizehint: int) -> memoryview:
         if self._body_view is not None:
@@ -450,6 +436,11 @@ class RecordProtocol(asyncio.BufferedProtocol):
         return self._scratch_view[self._scratch_len:]
 
     def buffer_updated(self, nbytes: int) -> None:
+        if self._discard_left is not None:
+            self._discard_left -= nbytes
+            if self._discard_left <= 0:
+                self._wake()
+            return
         if self._exc is not None:
             return  # failed: what still arrives is dropped
         if self._body is not None:
@@ -464,15 +455,15 @@ class RecordProtocol(asyncio.BufferedProtocol):
         except WireFormatError as exc:
             self._fail(exc)
 
-    def eof_received(self) -> None:
+    def eof_received(self) -> bool:
+        self._eof = True
         if self._body is not None or self._scratch_len:
             have = self._filled if self._body is not None else self._scratch_len
             self._fail(WireFormatError(
                 f"connection closed mid-record ({have} bytes of it read)"
             ))
-        else:
-            self._eof = True
-            self._wake()
+        self._wake()
+        return True  # keep the write side open
 
     def connection_lost(self, exc: Optional[BaseException]) -> None:
         if not self._eof:
@@ -499,6 +490,12 @@ class RecordProtocol(asyncio.BufferedProtocol):
             waiter.set_result(None)
 
     # -- record assembly ------------------------------------------------
+    def feed(self, data: bytes) -> None:
+        """Take ``data`` (at most :data:`SCRATCH_BYTES`, read off the
+        socket before this protocol took it over) as if it arrived."""
+        self.get_buffer(len(data))[:len(data)] = data
+        self.buffer_updated(len(data))
+
     def _split(self) -> None:
         """Take every complete record out of the scratch buffer."""
         view = self._scratch_view
@@ -506,7 +503,8 @@ class RecordProtocol(asyncio.BufferedProtocol):
         pos = 0
         while end - pos >= WIRE_HEADER_BYTES:
             t0 = perf_counter()
-            head = _parse_header(view[pos:pos + WIRE_HEADER_BYTES])
+            head = _parse_header(view[pos:pos + WIRE_HEADER_BYTES],
+                                 self._max_body_bytes)
             self.decode_s += perf_counter() - t0
             start = pos + WIRE_HEADER_BYTES
             stop = start + head.body_len
@@ -566,7 +564,8 @@ class RecordProtocol(asyncio.BufferedProtocol):
     async def read_raw(self, timeout: Optional[float] = None) -> Optional[_Record]:
         """The next record as ``(parsed header, body)``, CRC unchecked."""
         if not self._records:
-            await self._wait(timeout)
+            if self._exc is None and not self._eof:
+                await self._wait(timeout)
             if not self._records:
                 if self._exc is not None:
                     raise self._exc
@@ -591,10 +590,26 @@ class RecordProtocol(asyncio.BufferedProtocol):
         self.decode_s += perf_counter() - t0
         return packet
 
+    async def discard(self, limit: int = DISCARD_LIMIT_BYTES,
+                      timeout: Optional[float] = None) -> None:
+        """Drop input until the peer's EOF or ``limit`` bytes, records
+        not yet read and a partial or failed one included, as
+        :func:`discard_input` does for a socket; ``asyncio.TimeoutError``
+        after ``timeout`` seconds."""
+        self._discard_left = limit
+        self._records.clear()
+        self._waiting = self._newest = self._scratch_len = 0
+        self._head = self._body = self._body_view = None
+        if self._read_paused:
+            self._read_paused = False
+            self._transport.resume_reading()
+        # Only the limit, EOF or a lost connection wake the wait.
+        while (self._discard_left > 0 and not self._eof
+               and not self._closed.done()):
+            await self._wait(timeout)
+
     async def _wait(self, timeout: Optional[float]) -> None:
-        """Until a record, EOF or a failure arrives, or the deadline."""
-        if self._exc is not None or self._eof:
-            return
+        """Until the protocol wakes the reader, or the deadline."""
         loop = self._loop
         if timeout is None:
             self._deadline = None
@@ -621,8 +636,9 @@ class RecordProtocol(asyncio.BufferedProtocol):
         self._transport.write_eof()
 
     async def drain(self) -> None:
-        """Wait until the transport's write buffer is below its high mark."""
-        if self._closed.done():
+        """Wait until the transport's write buffer is below its high
+        mark; ``ConnectionResetError`` once the connection is closing."""
+        if self._closed.done() or self._transport.is_closing():
             raise ConnectionResetError("Connection lost")
         if not self._write_paused:
             return
@@ -632,11 +648,17 @@ class RecordProtocol(asyncio.BufferedProtocol):
         finally:
             self._drain_waiter = None
 
-    async def close(self) -> None:
-        """Close the connection and wait until it is gone."""
+    def abort(self) -> None:
+        """Drop the connection now, and whatever is still buffered for it."""
         if self._transport is not None:
-            self._transport.close()
-        await self._closed
+            self._transport.abort()
+
+    async def close(self, timeout: Optional[float] = None) -> None:
+        """Close once the buffered data is sent and wait until the
+        connection is gone; after ``timeout`` seconds, abort it."""
+        self._transport.close()
+        await asyncio.wait([self._closed], timeout=timeout)
+        self._transport.abort()  # a no-op once it is gone
 
 
 async def open_records(host: str, port: int) -> RecordProtocol:

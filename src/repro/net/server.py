@@ -1,8 +1,10 @@
 """`AnnotationStreamServer`: annotated streams over real asyncio TCP.
 
-Hosts many concurrent sessions on one ``asyncio.start_server`` socket,
-plus connections the fleet router hands over (:meth:`~AnnotationStreamServer.adopt`).
-Each connection runs the wire protocol::
+Hosts many concurrent sessions on one listening socket, plus
+connections the fleet router hands over
+(:meth:`~AnnotationStreamServer.adopt`), each read and written through
+a :class:`~repro.net.codec.RecordProtocol` capped at 64 KiB per client
+record.  Each connection runs the wire protocol::
 
     client                          server
       | -- hello (control) ---------> |   admission control, then
@@ -99,7 +101,12 @@ from ..telemetry import (
     trace,
     trace_context,
 )
-from .codec import WireFormatError, discard_input, encode_packet, read_packet
+from .codec import (
+    MAX_OPENING_RECORD_BYTES,
+    RecordProtocol,
+    WireFormatError,
+    encode_packet,
+)
 from .config import ServeConfig
 from .messages import (
     StatsRequest,
@@ -407,8 +414,10 @@ class AnnotationStreamServer:
         if self._server is not None:
             raise RuntimeError("server is already started")
         self._slot_available = asyncio.Condition()
-        self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=self._port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: RecordProtocol(MAX_OPENING_RECORD_BYTES,
+                                   on_open=self._accepted),
+            host=self.host, port=self._port,
         )
         self._port = self._server.sockets[0].getsockname()[1]
         self._state = STATE_READY
@@ -422,13 +431,14 @@ class AnnotationStreamServer:
         A hard stop: in-flight session tasks are cancelled.  Use
         :meth:`drain` first for a graceful shutdown.
         """
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         for task in list(self._tasks):
             task.cancel()
         await self._wait_tasks()
+        if server is not None:
+            await server.wait_closed()
         # Steps still running for cancelled sessions finish here; a
         # restarted server steps on a fresh executor.
         executor, self._executor = self._executor, self._new_executor()
@@ -552,7 +562,7 @@ class AnnotationStreamServer:
 
     async def _send(
         self,
-        writer: asyncio.StreamWriter,
+        conn: RecordProtocol,
         packet: MediaPacket,
         timings: Optional[dict] = None,
     ) -> None:
@@ -562,59 +572,50 @@ class AnnotationStreamServer:
         increments — plain float adds per record, aggregated into
         ``net.encode`` / ``net.write`` spans once per session.
         """
-        if timings is None:
-            header, body = encode_packet(packet)
-            writer.write(header)
-            if len(body):
-                writer.write(body)
-            await writer.drain()
-        else:
-            t0 = perf_counter()
-            header, body = encode_packet(packet)
-            t1 = perf_counter()
-            writer.write(header)
-            if len(body):
-                writer.write(body)
-            await writer.drain()
-            t2 = perf_counter()
+        t0 = perf_counter()
+        header, body = encode_packet(packet)
+        t1 = perf_counter()
+        conn.write(header)
+        if len(body):
+            conn.write(body)
+        await conn.drain()
+        if timings is not None:
             timings["encode_s"] += t1 - t0
-            timings["write_s"] += t2 - t1
+            timings["write_s"] += perf_counter() - t1
         self._records_counter.inc()
         self._bytes_counter.inc(len(header) + len(body))
 
-    async def _send_busy(self, writer: asyncio.StreamWriter) -> None:
+    async def _send_busy(self, conn: RecordProtocol) -> None:
         """Shed the connection with a busy message (best effort)."""
         self._shed_counter.inc()
         record_event("session_shed", active=self._active_count,
                      max=self.max_sessions, state=self._state)
         with contextlib.suppress(ConnectionError, OSError):
-            await self._send(writer, encode_busy(
+            await self._send(conn, encode_busy(
                 self.busy_retry_after_s,
                 self._active_count,
                 self.max_sessions,
                 seq=0,
             ))
 
-    async def _send_stats(self, writer: asyncio.StreamWriter,
+    async def _send_stats(self, conn: RecordProtocol,
                           request: StatsRequest) -> None:
         """Answer a stats probe with the observability snapshot."""
         self._stats_counter.inc()
         payload = self.stats_snapshot(**asdict(request))
         with contextlib.suppress(ConnectionError, OSError):
-            await self._send(writer, encode_statsdump(payload, seq=0))
+            await self._send(conn, encode_statsdump(payload, seq=0))
 
-    async def _send_status(self, writer: asyncio.StreamWriter) -> None:
+    async def _send_status(self, conn: RecordProtocol) -> None:
         """Answer a health probe with the current status snapshot."""
         self._health_counter.inc()
         with contextlib.suppress(ConnectionError, OSError):
-            await self._send(writer, encode_status(seq=0, **self.healthz()))
+            await self._send(conn, encode_status(seq=0, **self.healthz()))
 
-    async def _read_first(self, reader, writer):
+    async def _read_first(self, conn: RecordProtocol):
         """Read and decode the connection's opening control message."""
         try:
-            first = await asyncio.wait_for(
-                read_packet(reader), timeout=self.hello_timeout_s
-            )
+            first = await conn.read_packet(self.hello_timeout_s)
             if first is None:
                 return None  # connected and left without asking anything
             return decode_control(first)
@@ -623,42 +624,36 @@ class AnnotationStreamServer:
             return None
         except WireFormatError as exc:
             self._rejects_counter.inc()
-            await self._reject(reader, writer, str(exc))
+            await self._reject(conn, str(exc))
             return None
+        except (ConnectionError, OSError):
+            return None  # reset before asking anything
 
-    async def _reject(self, reader, writer, reason: str) -> None:
+    async def _reject(self, conn: RecordProtocol, reason: str) -> None:
         """Answer ``error``, then half-close (:meth:`_half_close`)."""
         with contextlib.suppress(ConnectionError, OSError):
-            await self._send(writer, encode_error(reason, seq=0))
-            await self._half_close(reader, writer)
+            await self._send(conn, encode_error(reason, seq=0))
+            await self._half_close(conn)
 
-    async def _half_close(self, reader, writer) -> None:
-        """Shut down the write side, then let the client finish.
-
-        The client reads everything sent and a clean EOF; what it still
-        sends (the rest of an oversized record, a late ``requality``) is
-        discarded until its own EOF, bounded by
-        :data:`~repro.net.codec.DISCARD_LIMIT_BYTES` and
-        ``hello_timeout_s``.  Closing a socket with unread input makes
-        the kernel answer with a reset, which would throw away the
-        stream's unsent tail.
-        """
+    async def _half_close(self, conn: RecordProtocol) -> None:
+        """Shut down the write side, then let the client finish: what it
+        still sends (a late ``requality``, the rest of a rejected record)
+        is dropped until its EOF (:meth:`~repro.net.codec.RecordProtocol.discard`,
+        bounded by ``hello_timeout_s``), so the close sends no reset that
+        would throw away the stream's unsent tail."""
         try:
             with contextlib.suppress(ConnectionError, OSError,
                                      asyncio.TimeoutError):
-                if writer.can_write_eof():
-                    writer.write_eof()
-                await asyncio.wait_for(
-                    discard_input(reader.read), timeout=self.hello_timeout_s
-                )
+                conn.write_eof()
+                await conn.discard(timeout=self.hello_timeout_s)
         except asyncio.CancelledError:
             # close() / drain() cut the wait short.  Everything was
             # sent, so end as a finished task, not a cancelled one.
-            writer.transport.abort()
+            conn.abort()
 
     async def _read_requests(
         self,
-        reader: asyncio.StreamReader,
+        conn: RecordProtocol,
         adaptation: AdaptationControl,
         session: SessionDescription,
     ) -> None:
@@ -673,7 +668,7 @@ class AnnotationStreamServer:
         """
         while True:
             try:
-                packet = await read_packet(reader)
+                packet = await conn.read_packet()
             except (WireFormatError, ConnectionError, OSError):
                 return
             if packet is None:
@@ -753,59 +748,57 @@ class AnnotationStreamServer:
         fleet router hands connections to shards this way.  Returns the
         connection's task (:meth:`drain` / :meth:`close` manage it).
         """
-        task = asyncio.ensure_future(self._adopt(sock, record))
+        conn = RecordProtocol(MAX_OPENING_RECORD_BYTES)
+        # The record goes in first, so the protocol reads exactly what
+        # the client sent, in order.
+        conn.feed(record)
+
+        def cleanup() -> None:
+            conn.abort()
+            sock.close()  # not yet the transport's if cancelled early
+
+        return self._track(self._adopt(sock, conn), cleanup)
+
+    async def _adopt(self, sock: socket.socket, conn: RecordProtocol) -> None:
+        await asyncio.get_running_loop().connect_accepted_socket(
+            lambda: conn, sock
+        )
+        await self._handle_connection(conn)
+
+    def _accepted(self, conn: RecordProtocol) -> None:
+        # Called from connection_made, once the transport exists: a task
+        # started earlier, from the protocol factory, would see none.
+        self._track(self._handle_connection(conn), conn.abort)
+
+    def _track(self, coro, cleanup) -> "asyncio.Task":
+        """Run a connection as a task :meth:`drain` / :meth:`close`
+        manage; ``cleanup`` runs when it is done, even if cancelled
+        before it started."""
+        task = asyncio.ensure_future(coro)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
+        task.add_done_callback(lambda _: cleanup())
         return task
 
-    async def _adopt(self, sock: socket.socket, record: bytes) -> None:
-        loop = asyncio.get_running_loop()
-        # The record goes in first, so the stream reads exactly what the
-        # client sent, in order.
-        reader = asyncio.StreamReader()
-        reader.feed_data(record)
-        protocol = asyncio.StreamReaderProtocol(reader)
-        transport, _ = await loop.connect_accepted_socket(
-            lambda: protocol, sock
-        )
-        await self._handle(
-            reader, asyncio.StreamWriter(transport, protocol, reader, loop)
-        )
-
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-        try:
-            await self._handle_connection(reader, writer)
-        finally:
-            if task is not None:
-                self._tasks.discard(task)
-            if not writer.is_closing():  # cancelled before any close
-                writer.transport.abort()
-
-    async def _handle_connection(self, reader, writer) -> None:
-        message = await self._read_first(reader, writer)
+    async def _handle_connection(self, conn: RecordProtocol) -> None:
+        message = await self._read_first(conn)
         if message is None:
-            await self._close_writer(writer)
-            return
-        if message.kind == "health":
-            await self._send_status(writer)
-            await self._close_writer(writer)
-            return
-        if message.kind == "stats":
-            await self._send_stats(writer, message.stats)
-            await self._close_writer(writer)
-            return
-        if message.kind not in ("hello", "resume"):
+            pass  # gone, timed out, or already answered
+        elif message.kind == "health":
+            await self._send_status(conn)
+        elif message.kind == "stats":
+            await self._send_stats(conn, message.stats)
+        elif message.kind in ("hello", "resume"):
+            await self._admit_and_serve(message, conn)
+        else:
             self._rejects_counter.inc()
-            with contextlib.suppress(ConnectionError, OSError):
-                await self._send(writer, encode_error(
-                    f"expected hello, resume, health or stats, got {message.kind!r}",
-                    seq=0,
-                ))
-            await self._close_writer(writer)
-            return
+            await self._reject(
+                conn,
+                f"expected hello, resume, health or stats, got {message.kind!r}",
+            )
+        await conn.close(timeout=5.0)
+
+    async def _admit_and_serve(self, message, conn: RecordProtocol) -> None:
         # Join the client's distributed trace (ids ride in the
         # hello/resume body); absent ids start a fresh server-side trace
         # so admission and session spans still form one tree.
@@ -817,18 +810,16 @@ class AnnotationStreamServer:
                 if admission_span is not None:
                     admission_span.set_tag("admitted", admitted)
             if not admitted:
-                await self._send_busy(writer)
-                await self._close_writer(writer)
+                await self._send_busy(conn)
                 return
             try:
-                finished = await self._serve_session(message, reader, writer)
+                finished = await self._serve_session(message, conn)
             finally:
                 await self._release_slot()
         if finished:
-            await self._half_close(reader, writer)
-        await self._close_writer(writer)
+            await self._half_close(conn)
 
-    async def _serve_session(self, message, reader, writer) -> bool:
+    async def _serve_session(self, message, conn: RecordProtocol) -> bool:
         """Run one admitted session to completion (or disconnect).
 
         The session task drives the stream: it keeps one
@@ -853,7 +844,7 @@ class AnnotationStreamServer:
                     self._rejects_counter.inc()
                     record_event("session_reject", reason=str(exc))
                     with contextlib.suppress(ConnectionError, OSError):
-                        await self._send(writer, encode_error(str(exc), seq=0))
+                        await self._send(conn, encode_error(str(exc), seq=0))
                     clean = True
                     return clean
                 if session_span is not None:
@@ -885,11 +876,11 @@ class AnnotationStreamServer:
                 t_first = perf_counter()
                 step = self._executor.submit(step_ctx.run, steps.step)
                 await self._send(
-                    writer,
+                    conn,
                     encode_session(session, seq=0, token=token, resumed_at=skip),
                 )
                 reader_task = asyncio.get_running_loop().create_task(
-                    self._read_requests(reader, adaptation, session)
+                    self._read_requests(conn, adaptation, session)
                 )
                 sent = 0
                 try:
@@ -910,14 +901,14 @@ class AnnotationStreamServer:
                         for i, (buffer, records) in enumerate(batches):
                             self._queue_hist.observe(len(batches) - i)
                             t1 = perf_counter()
-                            writer.write(buffer)
-                            await writer.drain()
+                            conn.write(buffer)
+                            await conn.drain()
                             timings["write_s"] += perf_counter() - t1
                             self._records_counter.inc(records)
                             self._bytes_counter.inc(len(buffer))
                             sent += records
                     await self._send(
-                        writer,
+                        conn,
                         encode_end(steps.packet_count, steps.frame_count,
                                    seq=sent + 1),
                         timings=timings,
@@ -958,24 +949,13 @@ class AnnotationStreamServer:
                 # Close the generator once the step in flight is done
                 # (or cancelled unstarted), never while it runs.
                 step.add_done_callback(lambda _: step_ctx.run(steps.close))
-            if not clean and writer.transport is not None:
+            if not clean:
                 # A graceful close would wait to flush buffered records
                 # to a peer that is gone (or cancelled us by never
                 # reading); drop the buffer so the close is bounded.
-                writer.transport.abort()
+                conn.abort()
             self._active_gauge.dec()
         return clean
-
-    @staticmethod
-    async def _close_writer(writer: asyncio.StreamWriter) -> None:
-        writer.close()
-        try:
-            await asyncio.wait_for(writer.wait_closed(), timeout=5.0)
-        except (ConnectionError, OSError):
-            pass
-        except asyncio.TimeoutError:
-            if writer.transport is not None:  # peer never drained; force it
-                writer.transport.abort()
 
     async def _wait_tasks(self) -> None:
         """Wait for all session tasks to unwind after cancellation."""

@@ -21,7 +21,6 @@ the acceptance path of the fleet tentpole:
 """
 
 import asyncio
-import contextlib
 
 import numpy as np
 import pytest
@@ -37,7 +36,7 @@ from repro.net import (
     encode_packet_bytes,
     encode_portable_token,
 )
-from repro.net.codec import read_packet
+from repro.net.codec import open_records
 from repro.net.messages import (
     decode_control,
     encode_hello,
@@ -127,7 +126,7 @@ def _options():
     return FetchOptions(backoff_base_s=0.01, backoff_max_s=0.2, jitter_s=0.0)
 
 
-async def _drain_stream(reader, controls=None):
+async def _drain_stream(conn, controls=None):
     """Read media packets until the server's ``end`` control packet.
 
     Other in-stream control messages are appended to ``controls`` when
@@ -135,7 +134,7 @@ async def _drain_stream(reader, controls=None):
     """
     packets = []
     while True:
-        packet = await asyncio.wait_for(read_packet(reader), timeout=15.0)
+        packet = await conn.read_packet(15.0)
         if packet is None:
             break
         if packet.ptype is PacketType.CONTROL:
@@ -151,22 +150,20 @@ async def _drain_stream(reader, controls=None):
 
 async def _open(host, port, *messages):
     """Connect and send ``messages`` in one write (pipelined)."""
-    reader, writer = await asyncio.open_connection(host, port)
-    writer.write(b"".join(encode_packet_bytes(m) for m in messages))
-    await writer.drain()
-    return reader, writer
+    conn = await open_records(host, port)
+    conn.write(b"".join(encode_packet_bytes(m) for m in messages))
+    await conn.drain()
+    return conn
 
 
-async def _read_control(reader):
-    packet = await asyncio.wait_for(read_packet(reader), timeout=15.0)
+async def _read_control(conn):
+    packet = await conn.read_packet(15.0)
     assert packet is not None, "connection closed before a control answer"
     return decode_control(packet)
 
 
-async def _hangup(writer):
-    writer.close()
-    with contextlib.suppress(ConnectionError):
-        await writer.wait_closed()
+async def _hangup(conn):
+    await conn.close()
 
 
 def test_fleet_streams_byte_identical_to_direct():
@@ -220,39 +217,34 @@ def test_mid_stream_kill_fails_over_byte_identically():
     async def run():
         async with FleetCoordinator(_fleet_catalog, shards=2,
                                     health_interval_s=0.2) as fleet:
-            reader, writer = await asyncio.open_connection(*fleet.address)
+            conn = await open_records(*fleet.address)
             request = SessionRequest(
                 "alpha", QUALITY, ClientCapabilities(DEVICE)
             )
-            writer.write(encode_packet_bytes(encode_hello(request)))
-            await writer.drain()
-            session_msg = decode_control(
-                await asyncio.wait_for(read_packet(reader), timeout=15.0)
-            )
+            conn.write(encode_packet_bytes(encode_hello(request)))
+            await conn.drain()
+            session_msg = decode_control(await conn.read_packet(15.0))
             assert session_msg.kind == "session"
             token = session_msg.token
             assert decode_portable_token(token) is not None
             head = []
             while len(head) < received:
-                packet = await asyncio.wait_for(read_packet(reader),
-                                                timeout=15.0)
+                packet = await conn.read_packet(15.0)
                 if packet.ptype is not PacketType.CONTROL:
                     head.append(packet)
 
             owner = fleet.router.ring.lookup("alpha")
             fleet.kill_shard(owner)
-            writer.transport.abort()
+            conn.abort()
 
-            reader, writer = await asyncio.open_connection(*fleet.address)
-            writer.write(encode_packet_bytes(encode_resume(token, received)))
-            await writer.drain()
-            resumed = decode_control(
-                await asyncio.wait_for(read_packet(reader), timeout=15.0)
-            )
+            conn = await open_records(*fleet.address)
+            conn.write(encode_packet_bytes(encode_resume(token, received)))
+            await conn.drain()
+            resumed = decode_control(await conn.read_packet(15.0))
             assert resumed.kind == "session"
             assert resumed.resumed_at == received
-            tail = await _drain_stream(reader)
-            writer.close()
+            tail = await _drain_stream(conn)
+            await conn.close()
             return head, tail
 
     head, tail = asyncio.run(run())
@@ -296,10 +288,9 @@ def test_no_routable_shard_answers_busy_not_error():
             request = SessionRequest(
                 "alpha", QUALITY, ClientCapabilities(DEVICE)
             )
-            reader, writer = await _open(*fleet.address,
-                                         encode_hello(request))
-            message = await _read_control(reader)
-            await _hangup(writer)
+            conn = await _open(*fleet.address, encode_hello(request))
+            message = await _read_control(conn)
+            await _hangup(conn)
             return message, fleet.shard_ids()
 
     message, shard_ids = asyncio.run(run())
@@ -322,18 +313,16 @@ def test_sessions_outlive_the_router():
         async with FleetCoordinator(_big_catalog, shards=2,
                                     health_interval_s=0.2) as fleet:
             request = SessionRequest(name, QUALITY, ClientCapabilities(DEVICE))
-            reader, writer = await _open(*fleet.address,
-                                         encode_hello(request))
-            assert (await _read_control(reader)).kind == "session"
+            conn = await _open(*fleet.address, encode_hello(request))
+            assert (await _read_control(conn)).kind == "session"
             head = []
             while len(head) < 3:
-                packet = await asyncio.wait_for(read_packet(reader),
-                                                timeout=15.0)
+                packet = await conn.read_packet(15.0)
                 if packet.ptype is not PacketType.CONTROL:
                     head.append(packet)
             await fleet.router.close()
-            tail = await _drain_stream(reader)
-            await _hangup(writer)
+            tail = await _drain_stream(conn)
+            await _hangup(conn)
             return head + tail
 
     _assert_streams_identical(asyncio.run(run()), reference)
@@ -351,11 +340,11 @@ def test_pipelined_requality_survives_the_handoff():
     opening = (encode_hello(request), encode_requality(quality=0.2))
 
     async def fetch(host, port):
-        reader, writer = await _open(host, port, *opening)
-        assert (await _read_control(reader)).kind == "session"
+        conn = await _open(host, port, *opening)
+        assert (await _read_control(conn)).kind == "session"
         controls = []
-        packets = await _drain_stream(reader, controls)
-        await _hangup(writer)
+        packets = await _drain_stream(conn, controls)
+        await _hangup(conn)
         acks = [(m.requality.frame, m.requality.quality, m.requality.applied)
                 for m in controls if m.kind == "requality"]
         return packets, acks
@@ -384,11 +373,10 @@ def test_oversized_opening_record_answered_by_the_router():
         async with FleetCoordinator(_fleet_catalog, shards=2,
                                     health_interval_s=0.2) as fleet:
             before = _routed_total()
-            reader, writer = await _open(*fleet.address,
-                                         encode_hello(request))
-            message = await _read_control(reader)
-            after = await asyncio.wait_for(read_packet(reader), timeout=15.0)
-            await _hangup(writer)
+            conn = await _open(*fleet.address, encode_hello(request))
+            message = await _read_control(conn)
+            after = await conn.read_packet(15.0)
+            await _hangup(conn)
             return message, after, _routed_total() - before
 
     message, after, routed = asyncio.run(run())
@@ -409,10 +397,10 @@ def test_undecodable_resume_token_answered_by_the_router():
         async with FleetCoordinator(_fleet_catalog, shards=2,
                                     health_interval_s=0.2) as fleet:
             before = _routed_total()
-            reader, writer = await _open(*fleet.address, legacy)
-            message = await _read_control(reader)
-            after = await asyncio.wait_for(read_packet(reader), timeout=15.0)
-            await _hangup(writer)
+            conn = await _open(*fleet.address, legacy)
+            message = await _read_control(conn)
+            after = await conn.read_packet(15.0)
+            await _hangup(conn)
             return message, after, _routed_total() - before
 
     message, after, routed = asyncio.run(run())

@@ -61,7 +61,7 @@ from repro.net import (
     encode_requality_ack,
 )
 from repro.net.client import _FetchProgress
-from repro.net.codec import encode_packet_bytes, read_packet
+from repro.net.codec import encode_packet_bytes, open_records
 from repro.net.messages import encode_hello, encode_resume
 from repro.player import DecoderModel
 from repro.power import Battery
@@ -562,28 +562,27 @@ def _gated_requality(media, device):
 
     async def run():
         async with AnnotationStreamServer(media, config=ServeConfig()) as server:
-            reader, writer = await asyncio.open_connection(*server.address)
+            conn = await open_records(*server.address)
             request = SessionRequest(CLIP, 0.0, ClientCapabilities(device.name))
-            writer.write(encode_packet_bytes(encode_hello(request)))
-            await writer.drain()
+            conn.write(encode_packet_bytes(encode_hello(request)))
+            await conn.drain()
 
             async def read_all():
                 records = []
-                while (packet := await read_packet(reader)) is not None:
+                while (packet := await conn.read_packet()) is not None:
                     records.append(packet)
                 return records
 
             reading = asyncio.ensure_future(read_all())
             await _wait_for(media.held.is_set)
-            writer.write(encode_packet_bytes(
+            conn.write(encode_packet_bytes(
                 encode_requality(quality=TARGET_QUALITY)
             ))
-            await writer.drain()
+            await conn.drain()
             await _wait_for(lambda: _counter("repro_requality_total") == 1)
             media.release.set()
             records = await asyncio.wait_for(reading, timeout=30.0)
-            writer.close()
-            await writer.wait_closed()
+            await conn.close()
         return records
 
     records = asyncio.run(run())
@@ -719,21 +718,19 @@ async def _resume_records(address, token, offset, requality=None):
     ``requality`` request, when given, rides in the same write as the
     resume, so it reaches the server before the stream's first frame.
     """
-    reader, writer = await asyncio.open_connection(*address)
+    conn = await open_records(*address)
     try:
         payload = encode_packet_bytes(encode_resume(token, offset))
         if requality is not None:
             payload += encode_packet_bytes(encode_requality(quality=requality))
-        writer.write(payload)
-        await writer.drain()
-        opened = decode_control(
-            await asyncio.wait_for(read_packet(reader), timeout=10.0)
-        )
+        conn.write(payload)
+        await conn.drain()
+        opened = decode_control(await conn.read_packet(10.0))
         assert opened.kind == "session", opened
         assert opened.resumed_at == offset
         records, acks = [], []
         while True:
-            packet = await asyncio.wait_for(read_packet(reader), timeout=10.0)
+            packet = await conn.read_packet(10.0)
             assert packet is not None, "stream ended without an end message"
             if packet.ptype is not PacketType.CONTROL:
                 records.append(encode_packet_bytes(packet))
@@ -744,7 +741,7 @@ async def _resume_records(address, token, offset, requality=None):
             if message.kind == "requality":
                 acks.append(message.requality)
     finally:
-        writer.close()
+        await conn.close()
 
 
 def _seek_offsets(total, head, rebind_records):
@@ -967,13 +964,11 @@ def test_adoption_rejects_plans_this_server_never_issues(plan):
 
     async def run():
         async with AnnotationStreamServer(_media(), config=ADOPTING) as server:
-            reader, writer = await asyncio.open_connection(*server.address)
-            writer.write(encode_packet_bytes(encode_resume(token, 0)))
-            await writer.drain()
-            reply = decode_control(
-                await asyncio.wait_for(read_packet(reader), timeout=5.0)
-            )
-            writer.close()
+            conn = await open_records(*server.address)
+            conn.write(encode_packet_bytes(encode_resume(token, 0)))
+            await conn.drain()
+            reply = decode_control(await conn.read_packet(5.0))
+            await conn.close()
             return reply
 
     reply = asyncio.run(run())

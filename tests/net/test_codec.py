@@ -31,7 +31,6 @@ from repro.net.codec import (
     decode_packet,
     encode_packet,
     encode_packet_bytes,
-    read_packet,
     wire_size,
 )
 from repro.streaming import (
@@ -130,37 +129,6 @@ class TestRoundTrip:
         assert len(encoded) == WIRE_HEADER_BYTES
         _assert_packets_equal(decode_packet(encoded), packet)
 
-    @settings(max_examples=40, deadline=None)
-    @given(packet=packets())
-    def test_async_reader_round_trips(self, packet):
-        async def run():
-            reader = asyncio.StreamReader()
-            reader.feed_data(encode_packet_bytes(packet))
-            reader.feed_eof()
-            got = await read_packet(reader)
-            assert await read_packet(reader) is None  # clean EOF after
-            return got
-
-        _assert_packets_equal(asyncio.run(run()), packet)
-
-    def test_async_reader_handles_back_to_back_records(self):
-        first = annotation_packet(0, b"track-bytes")
-        second = frame_packet(1, Frame.solid_gray(6, 4, 99), 0)
-
-        async def run():
-            reader = asyncio.StreamReader()
-            reader.feed_data(
-                encode_packet_bytes(first) + encode_packet_bytes(second)
-            )
-            reader.feed_eof()
-            return [await read_packet(reader), await read_packet(reader),
-                    await read_packet(reader)]
-
-        one, two, three = asyncio.run(run())
-        _assert_packets_equal(one, first)
-        _assert_packets_equal(two, second)
-        assert three is None
-
 
 # -- malformed input ---------------------------------------------------
 
@@ -227,24 +195,8 @@ class TestMalformedInput:
                              wire_bytes=2**32 - 1)
             )
 
-    @settings(max_examples=60, deadline=None)
-    @given(packet=packets(), data=st.data())
-    def test_async_reader_truncation_raises_not_hangs(self, packet, data):
-        encoded = encode_packet_bytes(packet)
-        cut = data.draw(st.integers(1, len(encoded) - 1), label="cut")
 
-        async def run():
-            reader = asyncio.StreamReader()
-            reader.feed_data(encoded[:cut])
-            reader.feed_eof()
-            # Bounded wait: a hang here is a test failure, not a stall.
-            return await asyncio.wait_for(read_packet(reader), timeout=5.0)
-
-        with pytest.raises(WireFormatError):
-            asyncio.run(run())
-
-
-# -- the client's record protocol --------------------------------------
+# -- the record protocol --------------------------------------
 
 class _Transport:
     """Records what :class:`RecordProtocol` asks of its transport."""
@@ -264,13 +216,13 @@ class _Transport:
         pass
 
 
-def _protocol(scratch=None):
+def _protocol(scratch=None, **kwargs):
     """A connected protocol (call inside a running loop)."""
     if scratch is None:
-        proto = RecordProtocol()
+        proto = RecordProtocol(**kwargs)
     else:
         with mock.patch.object(codec, "SCRATCH_BYTES", scratch):
-            proto = RecordProtocol()
+            proto = RecordProtocol(**kwargs)
     transport = _Transport()
     proto.connection_made(transport)
     return proto, transport
@@ -409,6 +361,56 @@ class TestRecordProtocol:
             assert peak < 1024 * 1024
             assert transport.paused  # nothing more is read
             assert len(proto.get_buffer(-1)) <= codec.SCRATCH_BYTES
+
+        asyncio.run(run())
+
+    def test_body_cap_fails_at_the_header(self):
+        """A body over the connection's cap fails as soon as its header
+        is in, before a byte of it is buffered; one at the cap passes."""
+        at_cap = encode_packet_bytes(annotation_packet(0, b"x" * 100))
+        over = bytearray(at_cap[:WIRE_HEADER_BYTES])
+        struct.pack_into("<I", over, 12, 101)
+
+        async def run():
+            proto, transport = _protocol(max_record_bytes=WIRE_HEADER_BYTES + 100)
+            _deliver(proto, at_cap + bytes(over))
+            assert (await proto.read_packet(timeout=5.0)).payload == b"x" * 100
+            with pytest.raises(WireFormatError, match="100-byte limit"):
+                await proto.read_packet(timeout=5.0)
+            assert transport.paused
+            assert proto._body is None
+
+        asyncio.run(run())
+
+    def test_discard_drops_input_until_eof_or_the_limit(self):
+        """After a failure reading resumes; what arrives, queued records
+        and a partial record included, is dropped until EOF or the
+        limit, and a silent peer times the discard out."""
+        record = encode_packet_bytes(annotation_packet(0, b"track"))
+
+        async def run():
+            proto, transport = _protocol()
+            _deliver(proto, record + b"\x00" * WIRE_HEADER_BYTES)  # then garbage
+            assert transport.paused
+            discard = asyncio.ensure_future(proto.discard(limit=10_000))
+            await asyncio.sleep(0)
+            assert not transport.paused and not proto._records
+            _deliver(proto, b"\xff" * 5000)
+            await asyncio.sleep(0)
+            assert not discard.done()
+            proto.eof_received()
+            await asyncio.wait_for(discard, 2.0)
+
+            proto, _ = _protocol()
+            _deliver(proto, record[:-2])  # a partial record
+            discard = asyncio.ensure_future(proto.discard(limit=100))
+            await asyncio.sleep(0)
+            _deliver(proto, b"\xff" * 100)
+            await asyncio.wait_for(discard, 2.0)  # the limit, no EOF
+
+            proto, _ = _protocol()
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(proto.discard(timeout=0.05), 2.0)
 
         asyncio.run(run())
 

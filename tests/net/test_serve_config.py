@@ -30,7 +30,7 @@ from repro.net import (
     encode_portable_token,
     encode_packet_bytes,
 )
-from repro.net.codec import read_packet
+from repro.net.codec import open_records
 from repro.net.messages import decode_control, encode_hello, encode_resume
 from repro.streaming import (
     ClientCapabilities,
@@ -269,14 +269,14 @@ class TestPortableTokens:
 
         async def run(config):
             async with AnnotationStreamServer(media, config=config) as server:
-                reader, writer = await asyncio.open_connection(*server.address)
+                conn = await open_records(*server.address)
                 request = SessionRequest(
                     clip.name, QUALITY, ClientCapabilities(device.name)
                 )
-                writer.write(encode_packet_bytes(encode_hello(request)))
-                await writer.drain()
-                first = await asyncio.wait_for(read_packet(reader), timeout=5.0)
-                writer.transport.abort()
+                conn.write(encode_packet_bytes(encode_hello(request)))
+                await conn.drain()
+                first = await conn.read_packet(5.0)
+                conn.abort()
                 return decode_control(first)
 
         tokens = [
@@ -297,10 +297,10 @@ class TestPortableTokens:
         config = ServeConfig()
         received = 7
 
-        async def drain_stream(reader):
+        async def drain_stream(conn):
             packets = []
             while True:
-                packet = await asyncio.wait_for(read_packet(reader), timeout=10.0)
+                packet = await conn.read_packet(10.0)
                 if packet is None:
                     break
                 message = None
@@ -314,36 +314,30 @@ class TestPortableTokens:
 
         async def run():
             async with AnnotationStreamServer(media_a, config=config) as a:
-                reader, writer = await asyncio.open_connection(*a.address)
+                conn = await open_records(*a.address)
                 request = SessionRequest(
                     clip.name, QUALITY, ClientCapabilities(device.name)
                 )
-                writer.write(encode_packet_bytes(encode_hello(request)))
-                await writer.drain()
-                session_msg = decode_control(
-                    await asyncio.wait_for(read_packet(reader), timeout=5.0)
-                )
+                conn.write(encode_packet_bytes(encode_hello(request)))
+                await conn.drain()
+                session_msg = decode_control(await conn.read_packet(5.0))
                 token = session_msg.token
                 head = []
                 while len(head) < received:
-                    packet = await asyncio.wait_for(
-                        read_packet(reader), timeout=10.0
-                    )
+                    packet = await conn.read_packet(10.0)
                     if packet.ptype is not PacketType.CONTROL:
                         head.append(packet)
-                writer.transport.abort()  # "shard death"
+                conn.abort()  # "shard death"
             # Server A is gone; resume against a fresh process-equivalent.
             async with AnnotationStreamServer(media_b, config=config) as b:
-                reader, writer = await asyncio.open_connection(*b.address)
-                writer.write(encode_packet_bytes(encode_resume(token, received)))
-                await writer.drain()
-                resumed = decode_control(
-                    await asyncio.wait_for(read_packet(reader), timeout=5.0)
-                )
+                conn = await open_records(*b.address)
+                conn.write(encode_packet_bytes(encode_resume(token, received)))
+                await conn.drain()
+                resumed = decode_control(await conn.read_packet(5.0))
                 assert resumed.kind == "session"
                 assert resumed.resumed_at == received
-                tail = await drain_stream(reader)
-                writer.close()
+                tail = await drain_stream(conn)
+                await conn.close()
                 return head, tail
 
         head, tail = asyncio.run(run())
@@ -368,10 +362,10 @@ class TestPortableTokens:
         reference = [encode_packet_bytes(p) for p in _reference(media, clip.name)]
         received = 9
 
-        async def records(reader):
+        async def records(conn):
             got = []
             while True:
-                packet = await asyncio.wait_for(read_packet(reader), timeout=10.0)
+                packet = await conn.read_packet(10.0)
                 if packet.ptype is not PacketType.CONTROL:
                     got.append(encode_packet_bytes(packet))
                 elif decode_control(packet).kind == "end":
@@ -382,23 +376,19 @@ class TestPortableTokens:
                 clip.name, QUALITY, ClientCapabilities(device.name)
             )
             async with AnnotationStreamServer(media) as first:
-                reader, writer = await asyncio.open_connection(*first.address)
-                writer.write(encode_packet_bytes(encode_hello(request)))
-                await writer.drain()
-                token = decode_control(
-                    await asyncio.wait_for(read_packet(reader), timeout=5.0)
-                ).token
-                head = (await records(reader))[:received]
-                writer.close()
+                conn = await open_records(*first.address)
+                conn.write(encode_packet_bytes(encode_hello(request)))
+                await conn.drain()
+                token = decode_control(await conn.read_packet(5.0)).token
+                head = (await records(conn))[:received]
+                await conn.close()
             async with AnnotationStreamServer(media) as second:
-                reader, writer = await asyncio.open_connection(*second.address)
-                writer.write(encode_packet_bytes(encode_resume(token, received)))
-                await writer.drain()
-                resumed = decode_control(
-                    await asyncio.wait_for(read_packet(reader), timeout=5.0)
-                )
-                tail = await records(reader)
-                writer.close()
+                conn = await open_records(*second.address)
+                conn.write(encode_packet_bytes(encode_resume(token, received)))
+                await conn.drain()
+                resumed = decode_control(await conn.read_packet(5.0))
+                tail = await records(conn)
+                await conn.close()
             return token, resumed, head, tail
 
         token, resumed, head, tail = asyncio.run(run())
@@ -419,13 +409,11 @@ class TestPortableTokens:
 
         async def run():
             async with AnnotationStreamServer(media) as server:
-                reader, writer = await asyncio.open_connection(*server.address)
-                writer.write(encode_packet_bytes(encode_resume(token, 0)))
-                await writer.drain()
-                message = decode_control(
-                    await asyncio.wait_for(read_packet(reader), timeout=5.0)
-                )
-                writer.close()
+                conn = await open_records(*server.address)
+                conn.write(encode_packet_bytes(encode_resume(token, 0)))
+                await conn.drain()
+                message = decode_control(await conn.read_packet(5.0))
+                await conn.close()
                 return message
 
         message = asyncio.run(run())
