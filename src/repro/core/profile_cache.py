@@ -65,11 +65,14 @@ def clip_fingerprint(clip: ClipBase) -> str:
         mode = "full"
     else:
         count = min(FINGERPRINT_SAMPLE_FRAMES, clip.frame_count)
-        indices = np.unique(
-            np.linspace(0, clip.frame_count - 1, count).astype(np.int64)
-        )
+        # linspace ascends, so dropping repeats in order is np.unique.
+        # np.unique itself would do the first import of numpy.ma on a
+        # serving thread, which once failed there under CPython 3.11
+        # (SystemError from ast.parse) while other threads ran.
+        samples = np.linspace(0, clip.frame_count - 1, count).astype(np.int64)
+        indices = dict.fromkeys(samples.tolist())
         for i in indices:
-            pixels = clip.frame(int(i)).pixels
+            pixels = clip.frame(i).pixels
             digest.update(np.int64(i).tobytes())
             digest.update(repr(pixels.shape).encode())
             digest.update(np.ascontiguousarray(pixels).tobytes())

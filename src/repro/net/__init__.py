@@ -9,10 +9,10 @@ stream on an actual socket:
   with a fixed 32-byte header (the same ``PACKET_HEADER_BYTES`` the
   network model charges), CRC32 integrity, zero-copy frame payloads.
 * :mod:`repro.net.messages` — the control-packet vocabulary (hello /
-  resume / requality / session / end / busy / health / status /
-  stats / statsdump / error) used for session negotiation, mid-stream
-  adaptation, load shedding, health probing and live stats scraping on
-  the wire; hello/resume carry distributed-
+  resume / progress / requality / session / end / busy / health /
+  status / stats / statsdump / error) used for session negotiation,
+  flow control, mid-stream adaptation, load shedding, health probing
+  and live stats scraping on the wire; hello/resume carry distributed-
   trace ids so server spans link under the client's fetch trace.  Also
   the *portable* resume-token format that lets any server over the same
   deterministic catalog adopt another server's session (fleet failover).
@@ -22,7 +22,8 @@ stream on an actual socket:
 * :mod:`repro.net.server` — :class:`AnnotationStreamServer`: hosts many
   concurrent sessions on one listening socket, each connection read
   through the codec's record protocol and each session stepping its
-  compensation one chunk ahead of its socket writes (backpressure),
+  compensation one chunk ahead of its socket writes, which stay within
+  a progress window of what the client holds (backpressure),
   admission control with a bounded accept queue and busy-shedding,
   token-based session resume, graceful drain and clean cancellation.
 * :mod:`repro.net.client` — :class:`AsyncMobileClient`: timeouts,

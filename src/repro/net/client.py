@@ -2,8 +2,13 @@
 
 The receive side of :mod:`repro.net`.  A fetch opens a TCP connection,
 sends the hello, reads the session description, then drains annotation
-and frame records until the server's ``end`` control message.  Every
-failure mode maps to a recovery path:
+and frame records until the server's ``end`` control message.  The
+hello (or resume) opts in to progress reports: every
+:data:`~repro.net.messages.PROGRESS_EVERY` data records the client
+tells the server how many it holds, and the server writes at most
+:data:`~repro.net.messages.PROGRESS_WINDOW` past that, so a live switch
+is polled near the frame the client is playing.  Every failure mode
+maps to a recovery path:
 
 * connect/read **timeouts** (``connect_timeout_s`` / ``read_timeout_s``),
 * **transport errors** (reset, refused, mid-record close),
@@ -56,11 +61,13 @@ from ..telemetry import (
 )
 from .codec import WireFormatError, encode_packet_bytes, open_records
 from .messages import (
+    PROGRESS_EVERY,
     RequalityInfo,
     StatusInfo,
     decode_control,
     encode_health,
     encode_hello,
+    encode_progress,
     encode_requality,
     encode_resume,
     encode_stats_request,
@@ -432,12 +439,14 @@ class AsyncMobileClient:
                 if resuming:
                     opening = encode_resume(progress.token, len(progress.packets),
                                             trace_id=trace_id,
-                                            parent_span_id=span_id)
+                                            parent_span_id=span_id,
+                                            progress=True)
                 else:
                     progress.reset()
                     request = self._player.request(clip_name, quality)
                     opening = encode_hello(request, trace_id=trace_id,
-                                           parent_span_id=span_id)
+                                           parent_span_id=span_id,
+                                           progress=True)
                 conn.write(encode_packet_bytes(opening))
                 await conn.drain()
 
@@ -529,6 +538,10 @@ class AsyncMobileClient:
                 # for the frames that follow.  Kept in ``packets`` —
                 # playback overlays it from its arrival position.
                 packets.append(packet)
+                if len(packets) % PROGRESS_EVERY == 0:
+                    # No drain: a few bytes per report, and the server
+                    # reads them as they come.
+                    conn.write(encode_packet_bytes(encode_progress(len(packets))))
                 advice = self._advise(progress)
                 if advice is not None:
                     quality_req, ambient_req = advice

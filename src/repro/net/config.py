@@ -58,7 +58,9 @@ class ServeConfig:
     ----------
     queue_depth:
         Accepted and ignored; it has no effect.  A session's stream runs
-        at most one compensation step ahead of its socket writes, so
+        at most one compensation step ahead of its socket writes, and
+        its writes at most the progress window past what a reporting
+        client holds (:data:`~repro.net.messages.PROGRESS_WINDOW`), so
         there is no send queue to bound.  The field goes once no caller
         passes it any more.
     hello_timeout_s:

@@ -10,6 +10,9 @@ travel as CONTROL packets whose body is a compact JSON object with a
 * ``resume``  — client → server: a resume token plus how many data
   records the client already holds; the server continues the stream
   from that offset instead of starting over.
+* ``progress`` — client → server, mid-stream: how many data records
+  the client holds.  A session whose opening record set ``progress``
+  writes at most :data:`PROGRESS_WINDOW` data records past that count.
 * ``requality`` — bidirectional mid-stream adaptation.  Client →
   server: switch the live session to a different quality and/or
   ambient bind (at least one of the two), applied at the next scene
@@ -38,7 +41,8 @@ travel as CONTROL packets whose body is a compact JSON object with a
 
 ``hello`` and ``resume`` optionally carry a ``trace`` id and the
 client's open ``span`` id, so server-side spans join the client's
-trace (one fetch, one linked tree across the wire).
+trace (one fetch, one linked tree across the wire), and a ``progress``
+flag: the client will send ``progress`` records.
 
 JSON keeps the control plane debuggable (``tcpdump`` shows readable
 records); the data plane — annotation tracks and pixels — stays binary.
@@ -63,6 +67,7 @@ from ..streaming.session import (
     SessionDescription,
     SessionRequest,
 )
+from ..streaming.server import WIRE_CHUNK_FRAMES
 from .codec import WireFormatError
 
 #: Every control-message kind the wire speaks, in protocol order.  The
@@ -72,6 +77,7 @@ from .codec import WireFormatError
 MESSAGE_KINDS = (
     "hello",
     "resume",
+    "progress",
     "requality",
     "session",
     "end",
@@ -83,6 +89,19 @@ MESSAGE_KINDS = (
     "error",
 )
 
+#: Data records a progress-reporting session may have written past the
+#: count its client last reported.  It must hold the largest step a
+#: session writes (a wire chunk of frames plus a re-bind annotation)
+#: plus the records a report can lag by (:data:`PROGRESS_EVERY` - 1),
+#: or the session would wait on a report that never comes.
+PROGRESS_WINDOW = 2 * WIRE_CHUNK_FRAMES
+
+#: A progress-reporting client reports after every this many data
+#: records, and on resume through ``received``.  Each report costs
+#: every process on the path a wakeup; once per wire chunk keeps that
+#: cost small.
+PROGRESS_EVERY = WIRE_CHUNK_FRAMES
+
 
 @dataclass(frozen=True)
 class HelloInfo:
@@ -90,7 +109,8 @@ class HelloInfo:
 
     ``trace_id``/``parent_span_id`` (both optional) carry the client's
     distributed-trace context so server-side spans link under the
-    client span that opened the connection.
+    client span that opened the connection.  ``progress`` says the
+    client sends ``progress`` records (see :data:`PROGRESS_WINDOW`).
     """
 
     clip_name: str
@@ -98,6 +118,7 @@ class HelloInfo:
     device_name: str
     trace_id: Optional[str] = None
     parent_span_id: Optional[str] = None
+    progress: bool = False
 
     def to_request(self) -> SessionRequest:
         """Rebuild the in-process session request (validates the device)."""
@@ -116,13 +137,15 @@ class ResumeInfo:
     frame) the client already holds from previous connections — the
     implicit ack up to which the server may skip.
     ``trace_id``/``parent_span_id`` relink the resumed server session
-    into the same client trace as the original attempt.
+    into the same client trace as the original attempt; ``progress`` is
+    as for :class:`HelloInfo`.
     """
 
     token: str
     received_packets: int
     trace_id: Optional[str] = None
     parent_span_id: Optional[str] = None
+    progress: bool = False
 
 
 @dataclass(frozen=True)
@@ -220,6 +243,8 @@ class ControlMessage:
     error: Optional[str] = None
     resume: Optional[ResumeInfo] = None
     requality: Optional[RequalityInfo] = None
+    #: For ``progress`` messages: the data records the client holds.
+    received: Optional[int] = None
     busy: Optional[BusyInfo] = None
     status: Optional[StatusInfo] = None
     stats: Optional[StatsRequest] = None
@@ -237,11 +262,13 @@ def encode_hello(
     seq: int = 0,
     trace_id: Optional[str] = None,
     parent_span_id: Optional[str] = None,
+    progress: bool = False,
 ) -> MediaPacket:
     """Build the client's opening control packet.
 
     ``trace_id``/``parent_span_id`` (optional) propagate the client's
     distributed-trace context so the server session links under it.
+    ``progress`` promises ``progress`` records (:func:`encode_progress`).
     """
     body = {
         "kind": "hello",
@@ -249,11 +276,18 @@ def encode_hello(
         "quality": request.quality,
         "device": request.capabilities.device_name,
     }
+    _opening_options(body, trace_id, parent_span_id, progress)
+    return control_packet(seq, _dump(body))
+
+
+def _opening_options(body: dict, trace_id, parent_span_id, progress) -> None:
+    """The optional keys ``hello`` and ``resume`` share."""
     if trace_id is not None:
         body["trace"] = trace_id
     if parent_span_id is not None:
         body["span"] = parent_span_id
-    return control_packet(seq, _dump(body))
+    if progress:
+        body["progress"] = True
 
 
 def encode_resume(
@@ -262,6 +296,7 @@ def encode_resume(
     seq: int = 0,
     trace_id: Optional[str] = None,
     parent_span_id: Optional[str] = None,
+    progress: bool = False,
 ) -> MediaPacket:
     """Build the client's reconnect-with-resume control packet.
 
@@ -269,7 +304,7 @@ def encode_resume(
     session message; ``received_packets`` is how many data records the
     client already holds (the server skips exactly that many).
     ``trace_id``/``parent_span_id`` relink the resumed server session
-    into the client's trace.
+    into the client's trace; ``progress`` is as for :func:`encode_hello`.
     """
     if received_packets < 0:
         raise ValueError("received_packets must be non-negative")
@@ -278,11 +313,15 @@ def encode_resume(
         "token": token,
         "received": received_packets,
     }
-    if trace_id is not None:
-        body["trace"] = trace_id
-    if parent_span_id is not None:
-        body["span"] = parent_span_id
+    _opening_options(body, trace_id, parent_span_id, progress)
     return control_packet(seq, _dump(body))
+
+
+def encode_progress(received: int, seq: int = 0) -> MediaPacket:
+    """Build the client's mid-stream report of the data records it holds."""
+    if received < 0:
+        raise ValueError("received must be non-negative")
+    return control_packet(seq, _dump({"kind": "progress", "received": received}))
 
 
 def encode_requality(
@@ -481,6 +520,7 @@ def decode_control(packet: MediaPacket) -> ControlMessage:
                 device_name=str(obj["device"]),
                 trace_id=None if trace_id is None else str(trace_id),
                 parent_span_id=None if span_id is None else str(span_id),
+                progress=obj.get("progress") is True,
             ))
         if kind == "resume":
             received = int(obj["received"])
@@ -493,7 +533,17 @@ def decode_control(packet: MediaPacket) -> ControlMessage:
                 received_packets=received,
                 trace_id=None if trace_id is None else str(trace_id),
                 parent_span_id=None if span_id is None else str(span_id),
+                progress=obj.get("progress") is True,
             ))
+        if kind == "progress":
+            received = obj["received"]
+            if (isinstance(received, bool) or not isinstance(received, int)
+                    or received < 0):
+                raise WireFormatError(
+                    f"progress needs a non-negative integer count, "
+                    f"got {received!r}"
+                )
+            return ControlMessage(kind=kind, received=received)
         if kind == "requality":
             quality = obj.get("quality")
             if quality is not None:

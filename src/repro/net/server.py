@@ -27,13 +27,23 @@ event loop and inflates frame gaps without adding throughput.
 
 The task keeps exactly one step in flight: as soon as step *k* returns
 it submits step *k+1*, then writes step *k*'s buffers with ``write`` +
-``drain``.  A slow client blocks ``drain``, so compensation runs ahead
-of the socket by at most one step plus what the socket buffers hold —
-backpressure without a queue.  A gone client costs at most the step in
-flight; the generator is closed once that step is done, never while it
-runs.  After ``end`` the server shuts down its write side and discards
-what the client still sends until the client's EOF, so the close never
-answers unread input with a reset that would destroy the stream's tail.
+``drain``.  A slow client blocks ``drain``, so compensation never runs
+more than one step ahead of the writes — backpressure without a queue.
+A client whose opening record sets ``progress`` reports the data
+records it holds; its session also holds each of step *k*'s batches
+until writing it keeps within
+:data:`~repro.net.messages.PROGRESS_WINDOW` data records of that count
+(the step in flight keeps computing meanwhile).  So a stalled client
+has at most the window written to it, whatever the socket buffers
+would hold, and a live request is polled at most the window plus one
+step past what the client holds.  Without the flag, or once
+the client's reports stop (its EOF, a reset, an undecodable record),
+only the socket buffers bound how far the writes run ahead.  A gone
+client costs at most the step in flight; the generator is closed once
+that step is done, never while it runs.  After ``end`` the server
+shuts down its write side and discards what the client still sends
+until the client's EOF, so the close never answers unread input with
+a reset that would destroy the stream's tail.
 
 Operational resilience on top of the happy path:
 
@@ -71,9 +81,10 @@ connection — ``net.admission`` and ``net.session`` join the client's
 trace via the ids carried in ``hello``/``resume``, the engine spans a
 step opens nest inside the session via one copied context per session,
 and per-stage aggregates (``net.produce``: summed step time,
-``net.encode``, ``net.queue.wait``: time awaiting a step, ``net.write``)
-break the send path down without per-packet span cost.  Session
-lifecycle lands in the flight recorder
+``net.encode``, ``net.queue.wait``: time awaiting a step,
+``net.window.wait``: time holding writes for a client's progress
+reports, ``net.write``) break the send path down without per-packet
+span cost.  Session lifecycle lands in the flight recorder
 (open/resume/shed/reject/end/disconnect/drain).
 """
 
@@ -109,6 +120,7 @@ from .codec import (
 )
 from .config import ServeConfig
 from .messages import (
+    PROGRESS_WINDOW,
     StatsRequest,
     decode_control,
     decode_portable_token,
@@ -183,9 +195,10 @@ class _WireSteps:
             self._session, adaptation=self._adaptation, start=start
         )
 
-    def step(self) -> List[Tuple[bytearray, int]]:
+    def step(self) -> List[Tuple[bytearray, int, int]]:
         """Advance through the next frame-carrying group; return its
-        ``(buffer, records)`` wire batches (possibly none)."""
+        ``(buffer, records, data records through it)`` wire batches
+        (possibly none)."""
         t_step = perf_counter()
         batches = []
         buffer = bytearray()
@@ -197,7 +210,13 @@ class _WireSteps:
                 carries_frame = False
                 for packet in group:
                     is_data = packet.ptype is not PacketType.CONTROL
-                    if not is_data or self.packet_count >= self._skip:
+                    send = not is_data or self.packet_count >= self._skip
+                    if is_data:
+                        self.packet_count += 1
+                        if packet.ptype is PacketType.FRAME:
+                            self.frame_count += 1
+                            carries_frame = True
+                    if send:
                         t0 = perf_counter()
                         header, body = encode_packet(packet, self._media.record_crcs)
                         buffer += header
@@ -207,20 +226,15 @@ class _WireSteps:
                         records += 1
                         if (records >= self._batch_records
                                 or len(buffer) >= self._batch_bytes):
-                            batches.append((buffer, records))
+                            batches.append((buffer, records, self.packet_count))
                             buffer = bytearray()
                             records = 0
-                    if is_data:
-                        self.packet_count += 1
-                        if packet.ptype is PacketType.FRAME:
-                            self.frame_count += 1
-                            carries_frame = True
                 if carries_frame:
                     break
             else:
                 self.done = True
             if records:
-                batches.append((buffer, records))
+                batches.append((buffer, records, self.packet_count))
             return batches
         finally:
             self.produce_s += perf_counter() - t_step
@@ -229,6 +243,52 @@ class _WireSteps:
         """Close the batch generator (only while no step runs)."""
         if self._groups is not None:
             self._groups.close()
+
+
+class _ProgressWindow:
+    """How far a progress-reporting session may write past its client.
+
+    ``received`` is the count of data records the client last reported
+    holding (complete-stream terms, like a resume offset).  A report
+    never moves it backwards nor past ``written``, the data records the
+    session has handed to the transport.  :meth:`wait` returns once
+    writing through a given record keeps within
+    :data:`~repro.net.messages.PROGRESS_WINDOW`, or once the reports
+    have stopped (:meth:`close`).
+    """
+
+    def __init__(self, received: int):
+        self.received = self.written = received
+        self._open = True
+        self._waiter: Optional[asyncio.Future] = None
+
+    def report(self, count: int) -> None:
+        """Take a client's ``progress`` count."""
+        count = min(count, self.written)
+        if count > self.received:
+            self.received = count
+            self._wake()
+
+    def close(self) -> None:
+        """The client's reports have stopped: never wait again."""
+        self._open = False
+        self._wake()
+
+    def _wake(self) -> None:
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    async def wait(self, end: int) -> None:
+        """Until data records up to ``end`` may be written; then count
+        them as written."""
+        while self._open and end - self.received > PROGRESS_WINDOW:
+            self._waiter = asyncio.get_running_loop().create_future()
+            try:
+                await self._waiter
+            finally:
+                self._waiter = None
+        self.written = max(self.written, end)
 
 
 #: Send-queue histogram buckets (batches of a step still to write).
@@ -356,6 +416,10 @@ class AnnotationStreamServer:
         self._requality_counter = reg.counter(
             "repro_requality_total",
             help="Mid-stream requality requests accepted from clients.",
+        )
+        self._progress_counter = reg.counter(
+            "repro_net_progress_reports_total",
+            help="Mid-stream progress records received from clients.",
         )
 
     # ------------------------------------------------------------------
@@ -656,13 +720,15 @@ class AnnotationStreamServer:
         conn: RecordProtocol,
         adaptation: AdaptationControl,
         session: SessionDescription,
+        window: Optional[_ProgressWindow],
     ) -> None:
         """Drain the client's mid-stream control messages.
 
-        The only message a client sends after its opening hello/resume
-        is ``requality``: the desired quality and/or ambient is
-        deposited in the session's :class:`AdaptationControl`, to be
-        applied by the stream at the next scene boundary.  Anything
+        A client sends two kinds after its opening hello/resume.  A
+        ``requality`` deposits the desired quality and/or ambient in the
+        session's :class:`AdaptationControl`, to be applied by the
+        stream at the next scene boundary.  A ``progress`` count goes to
+        the session's ``window`` (ignored without one).  Anything
         undecodable ends the reader (the session itself keeps streaming;
         a broken *pipe* surfaces on the write side).
         """
@@ -677,8 +743,13 @@ class AnnotationStreamServer:
                 message = decode_control(packet)
             except WireFormatError:
                 return
+            if message.kind == "progress":
+                self._progress_counter.inc()
+                if window is not None:
+                    window.report(message.received)
+                continue
             if message.kind != "requality" or message.requality is None:
-                continue  # only requality is meaningful mid-stream
+                continue  # nothing else is meaningful mid-stream
             info = message.requality
             if not info.is_request:
                 continue
@@ -825,15 +896,20 @@ class AnnotationStreamServer:
         The session task drives the stream: it keeps one
         :meth:`_WireSteps.step` in flight on the compute executor and,
         as soon as step *k* returns, submits step *k+1* and writes step
-        *k*'s batches.  A gone client therefore costs at most the step
-        in flight.  Returns whether the session ended with a last
-        message (``end`` or a negotiation ``error``), after which the
-        caller half-closes instead of dropping the connection.
+        *k*'s batches — for a progress-reporting client, once they keep
+        within its window.  A gone client therefore costs at most the
+        step in flight.  A live request still pending when the stream is
+        done is answered with a rejection ack before ``end``.  Returns
+        whether the session ended with a last message (``end`` or a
+        negotiation ``error``), after which the caller half-closes
+        instead of dropping the connection.
         """
         self._active_gauge.inc()
         clean = False
         session: Optional[SessionDescription] = None
-        timings = {"encode_s": 0.0, "queue_wait_s": 0.0, "write_s": 0.0}
+        timings = {"encode_s": 0.0, "queue_wait_s": 0.0, "write_s": 0.0,
+                   "window_wait_s": 0.0}
+        window: Optional[_ProgressWindow] = None
         reader_task: Optional["asyncio.Task"] = None
         step: Optional[Future] = None
         try:
@@ -879,9 +955,13 @@ class AnnotationStreamServer:
                     conn,
                     encode_session(session, seq=0, token=token, resumed_at=skip),
                 )
+                if (message.hello or message.resume).progress:
+                    window = _ProgressWindow(skip)
                 reader_task = asyncio.get_running_loop().create_task(
-                    self._read_requests(conn, adaptation, session)
+                    self._read_requests(conn, adaptation, session, window)
                 )
+                if window is not None:
+                    reader_task.add_done_callback(lambda _: window.close())
                 sent = 0
                 try:
                     while step is not None:
@@ -898,7 +978,11 @@ class AnnotationStreamServer:
                                       tags=tags)
                             record_event("first_byte_enqueued",
                                          compute_s=compute_s, **tags)
-                        for i, (buffer, records) in enumerate(batches):
+                        for i, (buffer, records, end) in enumerate(batches):
+                            if window is not None:
+                                t1 = perf_counter()
+                                await window.wait(end)
+                                timings["window_wait_s"] += perf_counter() - t1
                             self._queue_hist.observe(len(batches) - i)
                             t1 = perf_counter()
                             conn.write(buffer)
@@ -907,6 +991,14 @@ class AnnotationStreamServer:
                             self._records_counter.inc(records)
                             self._bytes_counter.inc(len(buffer))
                             sent += records
+                    if adaptation.poll_request() is not None:
+                        # Deposited after the stream's last poll.
+                        for ack in adaptation.switch_missed(
+                            steps.frame_count,
+                            "no scene boundary before end of stream",
+                        ):
+                            await self._send(conn, ack, timings=timings)
+                            sent += 1
                     await self._send(
                         conn,
                         encode_end(steps.packet_count, steps.frame_count,
@@ -922,6 +1014,9 @@ class AnnotationStreamServer:
                         emit_span("net.queue.wait", timings["queue_wait_s"],
                                   tags=tags)
                         emit_span("net.write", timings["write_s"], tags=tags)
+                        if window is not None:
+                            emit_span("net.window.wait",
+                                      timings["window_wait_s"], tags=tags)
         except (ConnectionError, OSError):
             self._disconnects_counter.inc()
             record_event(

@@ -23,10 +23,10 @@ and replays nothing.  Covered here:
   plan; adoption rejects plans this server could not have produced.
 
 Live switches need production paced against the client (otherwise a
-tiny clip is fully produced before the request arrives):
-``batch_records=1`` + ``batch_bytes=1`` writes every record on its own,
-and the session runs at most one compensation step ahead of its
-writes.  Whether a request lands is decided without timing in
+tiny clip is fully produced before the request arrives): the fetch
+clients report progress, so a session writes at most the progress
+window past them and computes at most one step ahead of its writes.
+Whether a request lands is decided without timing in
 ``TestRequalityRace``: a gated server holds production at a known frame
 while the request arrives.
 """
@@ -88,9 +88,9 @@ FRAMES = 120
 FPS = 30.0
 TARGET_QUALITY = 0.2
 
-#: One record per write, so production stays at most one compensation
-#: step (plus socket buffers) ahead of the client's reads and a live
-#: requality lands before the clip is fully produced.
+#: One record per write, as the adaptation workloads serve.  The
+#: progress window, not this config, bounds how far a reporting
+#: client's session writes ahead of its reads.
 PACED = ServeConfig(batch_records=1, batch_bytes=1)
 
 #: Drains a 0.004 Wh pack at 20 W: all four default SOC thresholds are
@@ -454,7 +454,7 @@ def test_requality_survives_lossy_transport(device):
     the target quality post-switch.
     """
     # No per-record delay: extra relay lag would let the CPU-bound
-    # producer run ahead through the socket buffers and race the live
+    # producer run ahead by the whole progress window and race the live
     # request past the last scene boundary.
     spec = FaultSpec(kill_after_records=60, seed=3)
 
@@ -601,7 +601,8 @@ def _scene_start_at_or_after(media, frame):
 class TestRequalityRace:
     """A request counted before production reaches frame ``F`` lands at
     the first scene start at or after ``F``; one with no scene start
-    left is rejected at ``frame_count``."""
+    left, or one that arrives after production polled for the last
+    time, is rejected at ``frame_count``."""
 
     def test_request_lands_at_next_scene_start_of_unproduced_frame(self, device):
         media = _GatedMedia(gate=40)
@@ -618,6 +619,17 @@ class TestRequalityRace:
         media = _GatedMedia(gate=104)
         media.add_clip(_scene_clip([12] * 8 + [24]))
         assert _scene_start_at_or_after(media, 104) == FRAMES
+        acks = _gated_requality(media, device)
+        assert len(acks) == 1
+        assert acks[0].applied is False
+        assert acks[0].frame == FRAMES
+
+    def test_request_after_last_poll_rejected_at_frame_count(self, device):
+        """Production is held once every frame is out, so the request
+        lands after the stream's last poll; it is answered before
+        ``end``, not dropped."""
+        media = _GatedMedia(gate=FRAMES)
+        media.add_clip(_adaptive_clip())
         acks = _gated_requality(media, device)
         assert len(acks) == 1
         assert acks[0].applied is False

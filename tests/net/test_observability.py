@@ -49,7 +49,8 @@ QUALITY = 0.05
 CLIENT_SPANS = {"net.fetch", "net.connect", "net.decode"}
 #: Server-side span names a clean traced fetch must produce.
 SERVER_SPANS = {"net.admission", "net.session", "net.produce",
-                "net.encode", "net.queue.wait", "net.write"}
+                "net.encode", "net.queue.wait", "net.write",
+                "net.window.wait"}
 
 
 def _clip(name="obsclip", frames=24, height=16, width=12, seed=7):

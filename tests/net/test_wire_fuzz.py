@@ -6,8 +6,12 @@ at once.  A connection opens with one action (a valid ``hello``; a
 the server never issues; a ``requality`` instead of an opening; raw
 garbage; a truncated record then EOF; EOF; an abort) and follows it
 with more (``requality`` requests that are valid, malformed or carry a
-non-finite quality; garbage; a truncated record then EOF; a half-close;
-reading k records; an abort).
+non-finite quality; ``progress`` counts that are honest, go backwards,
+lie past the end, are huge, negative or not integers; garbage; a
+truncated record then EOF; a half-close; reading k records; an abort).
+A ``hello`` or ``resume`` may opt in to the progress window; such a
+client reports what it holds after every read, as a real one does, and
+the clip is longer than the window, so the server does wait on it.
 
 The clients speak through plain non-blocking sockets and split what
 they receive with :func:`~repro.net.codec.decode_packet`, so the test
@@ -24,7 +28,8 @@ connection that was not aborted must end in exactly one of three ways:
 
 After each example no session is active, every connection task of the
 server has finished, and a fresh fetch is byte-identical to the
-in-process reference.
+in-process reference.  A last test kills a progress-reporting fetch at
+the relay between its reports and checks the same.
 """
 
 import asyncio
@@ -35,17 +40,27 @@ import socket
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ProfileCache, SchemeParameters
-from repro.net import AnnotationStreamServer, encode_packet_bytes
+from repro.display import ipaq_5555
+from repro.net import (
+    AnnotationStreamServer,
+    AsyncMobileClient,
+    FaultSpec,
+    LossyTransport,
+    encode_packet_bytes,
+)
 from repro.net.codec import WIRE_HEADER_BYTES, WIRE_MAGIC, decode_packet
 from repro.net.messages import (
+    PROGRESS_WINDOW,
     decode_control,
     decode_portable_token,
     encode_hello,
     encode_portable_token,
+    encode_progress,
     encode_requality,
     encode_resume,
 )
@@ -61,8 +76,11 @@ from repro.video import ArrayClip
 
 CLIP = "fuzzclip"
 DEVICE = "ipaq5555"
-FRAMES = 24
+#: Longer than the progress window, so a reporting session waits.
+FRAMES = 48
 QUALITY = 0.05
+#: The header's packet-type byte of a control record.
+CONTROL_TYPE_CODE = 1
 #: How long a client waits for the server before the example fails.
 WAIT_S = 10.0
 
@@ -102,9 +120,9 @@ def _forged(body) -> str:
     return "p1." + base64.urlsafe_b64encode(raw).decode("ascii").rstrip("=")
 
 
-_HELLO = encode_packet_bytes(encode_hello(
-    SessionRequest(CLIP, QUALITY, ClientCapabilities(DEVICE))
-))
+_REQUEST = SessionRequest(CLIP, QUALITY, ClientCapabilities(DEVICE))
+_HELLO = encode_packet_bytes(encode_hello(_REQUEST))
+_HELLO_REPORTING = encode_packet_bytes(encode_hello(_REQUEST, progress=True))
 
 _TOKENS = {
     "valid": [encode_portable_token(CLIP, QUALITY, DEVICE)],
@@ -134,6 +152,35 @@ _REQUALITY = {
     )],
 }
 
+#: Undecodable progress bodies: each ends the server's reading.
+_BAD_PROGRESS = {
+    "negative": [b'{"kind":"progress","received":-1}'],
+    "non_integer": [b'{"kind":"progress","received":2.5}',
+                    b'{"kind":"progress","received":"8"}',
+                    b'{"kind":"progress","received":true}'],
+}
+_PROGRESS_KINDS = ("honest", "backwards", "past_end", "huge",
+                   *sorted(_BAD_PROGRESS))
+
+
+def _progress_payload(action, held: int) -> bytes:
+    """The record(s) of one ``progress`` action; ``held`` is the count
+    of data records the client holds."""
+    kind = action[1]
+    if kind in _BAD_PROGRESS:
+        bodies = _BAD_PROGRESS[kind]
+        return encode_packet_bytes(
+            control_packet(0, bodies[action[2] % len(bodies)])
+        )
+    counts = {
+        "honest": [held],
+        "backwards": [held, max(held - 1 - action[2], 0)],
+        "past_end": [len(_full_stream()) + 1],
+        "huge": [10 ** 9],
+    }[kind]
+    return b"".join(encode_packet_bytes(encode_progress(n)) for n in counts)
+
+
 _garbage = st.binary(min_size=WIRE_HEADER_BYTES, max_size=200).filter(
     lambda data: not data.startswith(WIRE_MAGIC)
 )
@@ -143,9 +190,9 @@ _requality = st.tuples(
 _truncated = st.tuples(st.just("truncate"), st.integers(0, 10_000))
 
 _openings = st.one_of(
-    st.just(("hello",)),
+    st.tuples(st.just("hello"), st.booleans()),
     st.tuples(st.just("resume"), st.sampled_from(sorted(_TOKENS)),
-              st.integers(0, 9), st.integers(0, FRAMES + 4)),
+              st.integers(0, 9), st.integers(0, FRAMES + 4), st.booleans()),
     _requality,
     st.tuples(st.just("garbage"), _garbage),
     _truncated,
@@ -154,6 +201,8 @@ _openings = st.one_of(
 )
 _follow_ups = st.lists(st.one_of(
     _requality,
+    st.tuples(st.just("progress"), st.sampled_from(_PROGRESS_KINDS),
+              st.integers(0, 9)),
     st.tuples(st.just("garbage"), _garbage),
     _truncated,
     st.just(("shut",)),
@@ -166,12 +215,12 @@ _connections = st.lists(st.tuples(_openings, _follow_ups), min_size=1, max_size=
 def _payload(action) -> bytes:
     kind = action[0]
     if kind == "hello":
-        return _HELLO
+        return _HELLO_REPORTING if action[1] else _HELLO
     if kind == "resume":
         tokens = _TOKENS[action[1]]
-        return encode_packet_bytes(
-            encode_resume(tokens[action[2] % len(tokens)], action[3])
-        )
+        return encode_packet_bytes(encode_resume(
+            tokens[action[2] % len(tokens)], action[3], progress=action[4]
+        ))
     if kind == "requality":
         records = _REQUALITY[action[1]]
         return records[action[2] % len(records)]
@@ -195,23 +244,29 @@ def _split(data: bytes):
     return records
 
 
-async def _recv_until(sock, received: bytearray, records: int) -> None:
-    """Receive until ``received`` holds ``records`` whole records or EOF."""
+def _whole_records(received: bytes):
+    """``(records, data records)`` complete in ``received``."""
+    pos = count = data = 0
+    while len(received) - pos >= WIRE_HEADER_BYTES:
+        end = pos + WIRE_HEADER_BYTES + struct.unpack_from(
+            "<I", received, pos + 12)[0]
+        if end > len(received):
+            break
+        data += received[pos + 5] != CONTROL_TYPE_CODE
+        pos, count = end, count + 1
+    return count, data
+
+
+async def _recv_until(sock, received: bytearray, records, report) -> None:
+    """Receive until ``received`` holds ``records`` whole records or
+    EOF, awaiting ``report()`` after each receive."""
     loop = asyncio.get_running_loop()
-    while True:
-        pos = count = 0
-        while len(received) - pos >= WIRE_HEADER_BYTES:
-            end = pos + WIRE_HEADER_BYTES + struct.unpack_from(
-                "<I", received, pos + 12)[0]
-            if end > len(received):
-                break
-            pos, count = end, count + 1
-        if count >= records:
-            return
+    while _whole_records(received)[0] < records:
         chunk = await loop.sock_recv(sock, 65536)
         if not chunk:
             return
         received += chunk
+        await report()
 
 
 async def _converse(address, opening, follow_ups):
@@ -219,10 +274,22 @@ async def _converse(address, opening, follow_ups):
     loop = asyncio.get_running_loop()
     sock = socket.socket()
     sock.setblocking(False)
+    reporting = opening[0] in ("hello", "resume") and opening[-1]
+    held_before = opening[3] if opening[0] == "resume" else 0
+    received = bytearray()
+    sending = True
+
+    def held() -> int:
+        return held_before + _whole_records(received)[1]
+
+    async def report() -> None:
+        if reporting and sending:
+            await loop.sock_sendall(
+                sock, encode_packet_bytes(encode_progress(held()))
+            )
+
     try:
         await loop.sock_connect(sock, address)
-        received = bytearray()
-        sending = True
         for action in (opening, *follow_ups):
             kind = action[0]
             if kind == "abort":
@@ -230,14 +297,17 @@ async def _converse(address, opening, follow_ups):
                                 struct.pack("ii", 1, 0))
                 return None
             if kind == "read":
-                await _recv_until(sock, received, action[1])
+                await _recv_until(sock, received, action[1], report)
             elif sending:
-                if kind != "shut":
+                if kind == "progress":
+                    await loop.sock_sendall(sock,
+                                            _progress_payload(action, held()))
+                elif kind != "shut":
                     await loop.sock_sendall(sock, _payload(action))
                 if kind in ("shut", "truncate"):
                     sock.shutdown(socket.SHUT_WR)
                     sending = False
-        await _recv_until(sock, received, float("inf"))
+        await _recv_until(sock, received, float("inf"), report)
         return bytes(received)
     finally:
         sock.close()
@@ -283,7 +353,7 @@ def _check_outcome(opening, received: bytes) -> None:
 
 
 async def _fetch(address) -> bytes:
-    return await _converse(address, ("hello",), [("shut",)])
+    return await _converse(address, ("hello", True), [])
 
 
 async def _settled(server) -> None:
@@ -318,4 +388,33 @@ def test_every_connection_ends_in_a_stream_an_error_or_a_clean_close(connections
     for (opening, _), received in zip(connections, outcomes):
         if received is not None:
             _check_outcome(opening, received)
+    _check_stream(_split(fresh))
+
+
+@pytest.mark.parametrize("kill_after", [3, 12, 21, 30, 39, 47])
+def test_relay_kill_between_progress_reports(kill_after):
+    """A progress-reporting fetch through a relay that kills it once:
+    the resumed session's window starts at the resume offset, and the
+    fetch is byte-identical to the in-process stream."""
+    assert len(_full_stream()) > PROGRESS_WINDOW
+
+    async def run():
+        async with AnnotationStreamServer(_media()) as server:
+            spec = FaultSpec(kill_after_records=kill_after, max_faults=1)
+            async with LossyTransport(*server.address, spec=spec) as relay:
+                client = AsyncMobileClient(ipaq_5555(), max_retries=3,
+                                           backoff_base_s=0.01, jitter_s=0.0)
+                result = await asyncio.wait_for(
+                    client.fetch(*relay.address, CLIP, QUALITY), WAIT_S
+                )
+            await _settled(server)
+            fresh = await asyncio.wait_for(_fetch(server.address), WAIT_S)
+            await _settled(server)
+        return result, fresh
+
+    result, fresh = asyncio.run(run())
+    assert result.resumes == 1
+    assert [encode_packet_bytes(p) for p in result.packets] == list(
+        _full_stream()
+    )
     _check_stream(_split(fresh))

@@ -6,6 +6,12 @@ cache-sharing servers consume it — asserted with a counting spy on
 ``StreamAnalyzer.analyze``.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -67,6 +73,48 @@ class TestClipFingerprint:
     def test_lazy_clips_are_sampled(self, tiny_clip):
         assert clip_fingerprint(tiny_clip).startswith("sampled:")
         assert clip_fingerprint(tiny_clip) == clip_fingerprint(tiny_clip)
+
+    def test_lazy_fingerprint_leaves_numpy_ma_unimported(self):
+        """Fingerprinting a lazy clip runs on serving threads, so it must
+        not be what first imports ``numpy.ma`` (``np.unique`` is), and
+        its key must equal the ``np.unique`` formula's."""
+        script = textwrap.dedent("""
+            import hashlib, sys
+            import numpy as np
+            from repro.core.profile_cache import (
+                FINGERPRINT_SAMPLE_FRAMES, clip_fingerprint)
+            from repro.video import Frame, LazyClip
+
+            def make(i):
+                return Frame(np.full((4, 6, 3), i % 256, dtype=np.uint8), index=i)
+
+            clips = [LazyClip(make, frame_count=n, fps=24.0, name=f"c{n}")
+                     for n in (1, 5, 16, 17, 100, 1001)]
+            keys = [clip_fingerprint(clip) for clip in clips]
+            assert "numpy.ma" not in sys.modules
+
+            def reference(clip):
+                digest = hashlib.blake2b(digest_size=16)
+                digest.update(type(clip).__name__.encode())
+                digest.update(repr((clip.name, clip.frame_count,
+                                    float(clip.fps))).encode())
+                count = min(FINGERPRINT_SAMPLE_FRAMES, clip.frame_count)
+                for i in np.unique(np.linspace(
+                        0, clip.frame_count - 1, count).astype(np.int64)):
+                    pixels = clip.frame(int(i)).pixels
+                    digest.update(np.int64(i).tobytes())
+                    digest.update(repr(pixels.shape).encode())
+                    digest.update(np.ascontiguousarray(pixels).tobytes())
+                return "sampled:" + digest.hexdigest()
+
+            assert keys == [reference(clip) for clip in clips]
+            assert "numpy.ma" in sys.modules  # np.unique did import it
+        """)
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr[-2000:]
 
     def test_videoclip_matches_itself_not_name(self):
         batch = random_clip(seed=4).pixels
