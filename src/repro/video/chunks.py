@@ -311,6 +311,7 @@ class PlaneCache:
         # Per-instance telemetry series: a unique cache label keeps fresh
         # instances at zero while the shared registry aggregates them all.
         reg = telemetry_registry()
+        self._registered = reg.generation
         labels = {"cache": f"plane-{next(_PLANE_CACHE_SEQ)}"}
         self._hit_counter = reg.counter(
             "repro_cache_hits_total", help="Cache lookups served from the cache.",
@@ -331,13 +332,18 @@ class PlaneCache:
     def _ensure_registered(self) -> None:
         """Re-attach this cache's series after a registry reset.
 
-        Long-lived caches outlive test-isolation resets; idempotent
-        re-registration keeps their series visible in snapshots.
+        Long-lived caches outlive test-isolation resets; re-registering
+        keeps their series visible in snapshots.  Runs only once per
+        reset: a lookup otherwise costs one integer compare here.
         """
         reg = telemetry_registry()
+        generation = reg.generation
+        if self._registered == generation:
+            return
         for metric in (self._hit_counter, self._miss_counter,
                        self._eviction_counter, self._bytes_gauge):
             reg.register(metric)
+        self._registered = generation
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

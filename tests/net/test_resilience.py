@@ -16,6 +16,7 @@ deterministic:
 
 import asyncio
 import random
+import threading
 import time
 
 import numpy as np
@@ -78,6 +79,34 @@ def _media_server(*clips):
     for clip in clips:
         server.add_clip(clip)
     return server
+
+
+class _ResumeCountingMedia(MediaServer):
+    """A media server over ``clip`` that counts the resumes it serves.
+
+    With ``hold``, each stream sets ``held`` before its first record and
+    waits for ``release``, so a test can act while a session is open.
+    """
+
+    def __init__(self, clip, hold=False):
+        super().__init__(params=FAST_PARAMS,
+                         profile_cache=ProfileCache(max_entries=8))
+        self.add_clip(clip)
+        self.hold = hold
+        self.held = threading.Event()
+        self.release = threading.Event()
+        self.resumes = 0
+
+    def resume_point(self, session, offset, plan=()):
+        if offset:
+            self.resumes += 1
+        return super().resume_point(session, offset, plan)
+
+    def stream_batches(self, session, *args, **kwargs):
+        if self.hold:
+            self.held.set()
+            assert self.release.wait(timeout=30.0)
+        yield from super().stream_batches(session, *args, **kwargs)
 
 
 def _reference(media, clip_name, quality=QUALITY):
@@ -191,33 +220,49 @@ class TestSessionResume:
         assert _counter("repro_net_resumed_sessions_total") == 0
 
     def test_client_resumes_against_a_restarted_server(self, device):
-        """The issuing server is closed mid-fetch and a new one over the
-        same catalog takes its place: the client's resume succeeds there
-        and the result is byte-identical, since tokens carry all state."""
+        """The issuing server is replaced mid-fetch by a new one over the
+        same catalog: the client's resume succeeds there and the result
+        is byte-identical, since tokens carry all state.
+
+        The first server holds its stream until the relay points at the
+        second, so the kill that follows sends the resume there; no
+        timing decides which server sees it.
+        """
         clip = _big_clip(name="bigclip5", seed=19)
-        media = _media_server(clip)
-        reference = _reference(media, clip.name)
+        first_media = _ResumeCountingMedia(clip, hold=True)
+        second_media = _ResumeCountingMedia(clip)
+        reference = _reference(second_media, clip.name)
 
         async def run():
-            first = AnnotationStreamServer(media, config=ServeConfig())
+            first = AnnotationStreamServer(first_media, config=ServeConfig())
             await first.start()
-            spec = FaultSpec(kill_after_records=5, max_faults=1, seed=3)
-            async with LossyTransport(*first.address, spec) as lossy:
-                client = _client(device, backoff_base_s=0.5, max_retries=4)
-                fetch = asyncio.ensure_future(
-                    client.fetch(*lossy.address, clip.name, QUALITY)
-                )
-                while not lossy.faults_injected:  # the kill, then the backoff
-                    await asyncio.sleep(0.01)
+            try:
+                async with AnnotationStreamServer(second_media) as second:
+                    spec = FaultSpec(kill_after_records=5, max_faults=1, seed=3)
+                    async with LossyTransport(*first.address, spec) as lossy:
+                        client = _client(device, backoff_base_s=0.5,
+                                         max_retries=4)
+                        fetch = asyncio.ensure_future(
+                            client.fetch(*lossy.address, clip.name, QUALITY)
+                        )
+                        while not first_media.held.is_set():
+                            await asyncio.sleep(0.005)
+                        lossy.upstream_port = second.port
+                        first_media.release.set()
+                        while not lossy.faults_injected:
+                            await asyncio.sleep(0.005)
+                        await first.close()
+                        return await asyncio.wait_for(fetch, timeout=20.0)
+            finally:
+                first_media.release.set()
                 await first.close()
-                async with AnnotationStreamServer(media) as second:
-                    lossy.upstream_port = second.port
-                    return await asyncio.wait_for(fetch, timeout=20.0)
 
         fetched = asyncio.run(run())
         assert fetched.attempts == 2
         assert fetched.resumes == 1
         _assert_streams_identical(fetched.packets, reference)
+        assert first_media.resumes == 0
+        assert second_media.resumes == 1
         assert _counter("repro_net_resumed_sessions_total") == 1
 
     def test_client_resume_opt_out(self, device):

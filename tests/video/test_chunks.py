@@ -209,6 +209,27 @@ class TestPlaneCache:
         peak = clip.peak_channel_plane(2)
         assert np.array_equal(peak, Frame(batch[2]).peak_channel)
 
+    def test_lookups_register_series_only_after_a_reset(self, monkeypatch):
+        from repro import telemetry
+
+        cache = PlaneCache()
+        cache.put(0, "lum", np.zeros((4, 4)))
+        reg = telemetry.registry()
+        calls = []
+        real = reg.register
+        monkeypatch.setattr(reg, "register",
+                            lambda metric: calls.append(metric) or real(metric))
+        for _ in range(50):
+            assert cache.get(0, "lum") is not None
+            cache.get(1, "lum")
+        assert calls == []
+        telemetry.reset_registry()
+        cache.get(0, "lum")
+        cache.get(0, "lum")
+        assert len(calls) == 4  # the four series, once
+        assert reg.get("repro_cache_hits_total",
+                       cache._hit_counter.labels_dict()) is not None
+
     def test_plane_cache_is_assignable(self):
         clip = ArrayClip(random_batch(2))
         replacement = PlaneCache(max_bytes=1024)
