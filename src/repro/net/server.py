@@ -761,6 +761,10 @@ class AnnotationStreamServer:
                     if info.ambient is not None:
                         span.set_tag("ambient", info.ambient)
                 try:
+                    # An ambient spec that does not parse would fail the
+                    # re-bind mid-stream; it is dropped here instead.
+                    if info.ambient is not None:
+                        as_ambient_trace(info.ambient)
                     adaptation.request(
                         quality=info.quality, ambient=info.ambient
                     )
