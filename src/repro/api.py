@@ -186,9 +186,7 @@ class AnnotationService:
         """Annotate ``clip``, bind it to ``device`` (object or registry
         name) and wrap both as a playable
         :class:`~repro.core.pipeline.AnnotatedStream`."""
-        profile_device = _resolve_device(device)
-        track = self.annotate(clip).bind(profile_device)
-        return AnnotatedStream(clip=clip, track=track, device=profile_device)
+        return self._pipeline().build_stream(clip, _resolve_device(device))
 
     def sweep(
         self,

@@ -47,8 +47,6 @@ import sys
 import time
 from typing import List, Optional
 
-import numpy as np
-
 from .api import (
     AnnotationService,
     FetchOptions,
@@ -258,15 +256,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         row = [s.predicted_backlight_savings() for s in streams]
         line = f"{name:<22}" + "".join(f"{v:>8.1%}" for v in row)
         if with_stats:
-            line += f"{_mean_clipped_fraction(streams[-1]):>9.2%}"
+            stream = streams[-1]
+            # Compensate even when the profile answers the fraction, so
+            # the snapshot covers that stage.
+            for _chunk in stream.iter_chunks():
+                pass
+            line += f"{stream.mean_clipped_fraction():>9.2%}"
         print(line)
     return 0
-
-
-def _mean_clipped_fraction(stream) -> float:
-    """Clipped-pixel fraction via the compensation pass."""
-    fractions = [chunk.clipped_fractions for chunk in stream.iter_chunks()]
-    return float(np.mean(np.concatenate(fractions)))
 
 
 def cmd_telemetry(args: argparse.Namespace) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Hashable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -128,7 +128,7 @@ class AnnotationPipeline:
                  profile_cache: Optional[ProfileCache] = None,
                  policy: PolicySpec = None):
         self.params = params
-        self._perframe = resolve_engine(engine).kind == "perframe"
+        self.engine = engine
         if importance is None:
             self.analyzer = StreamAnalyzer(engine=engine)
         else:
@@ -200,20 +200,27 @@ class AnnotationPipeline:
         """Annotate and bind to a device in one step."""
         return self.annotate(clip, profile=profile).bind(device)
 
-    def build_stream(self, clip: ClipBase, device: DeviceProfile) -> "AnnotatedStream":
-        """Full server-side processing: annotate, bind, wrap for shipping."""
-        profile = self.profile(clip)
+    def build_stream(
+        self, clip: ClipBase, device: DeviceProfile,
+        profile: Optional[ProfileResult] = None,
+    ) -> "AnnotatedStream":
+        """Full server-side processing: annotate, bind, wrap for shipping.
+
+        ``profile`` reuses an earlier profiling pass of ``clip`` (a
+        quality sweep profiles once for every level).
+        """
+        if profile is None:
+            profile = self.profile(clip)
         track = self.annotate_for_device(clip, device, profile=profile)
         # Importance-weighted analysis produces *weighted* histograms, so
         # only the plain analyzer's exact peak-channel counts may seed
         # the stream's precomputed clipped fractions.
         if type(self.analyzer) is not StreamAnalyzer:
             profile = None
-        stream = AnnotatedStream(
-            clip=clip, track=track, device=device, profile=profile
+        return AnnotatedStream(
+            clip=clip, track=track, device=device, profile=profile,
+            engine=self.engine,
         )
-        stream._perframe = self._perframe
-        return stream
 
 
 @dataclass(frozen=True)
@@ -272,7 +279,9 @@ class AnnotatedStream:
     iteration, the server's packet emission and the proxy: it
     compensates whole chunks at a time via
     :func:`~repro.core.compensation.contrast_enhancement_batch` and owns
-    the per-frame path too.
+    the per-frame path too.  Under the ``"perframe"`` ``engine`` it
+    compensates through :meth:`compensated_frame` throughout, the
+    byte-identity reference for serving.
     """
 
     def __init__(
@@ -281,6 +290,7 @@ class AnnotatedStream:
         track: DeviceAnnotationTrack,
         device: DeviceProfile,
         profile: Optional[ProfileResult] = None,
+        engine: EngineSpec = None,
     ):
         if track.frame_count != clip.frame_count:
             raise ValueError(
@@ -308,11 +318,10 @@ class AnnotatedStream:
         # stream.  Other transforms apply per scene run.
         self._all_gain = all(t.is_gain for t in self._transforms)
         self._scene_starts = np.array([s.start for s in track.scenes], dtype=np.int64)
+        # Per-frame clipped fractions, once the profile's histograms or a
+        # complete iter_chunks pass have produced them.
         self._clipped_fractions: Optional[np.ndarray] = None
-        self._fraction_cache: Dict[int, float] = {}
-        # Set by the builders whose engine is "perframe": iter_chunks
-        # then compensates through the per-frame reference path.
-        self._perframe = False
+        self._perframe = resolve_engine(engine).kind == "perframe"
 
     def _transform_at(self, index: int):
         """The pixel transform covering frame ``index``."""
@@ -383,7 +392,9 @@ class AnnotatedStream:
         mid-clip — mid-stream adaptation re-binds a session at a scene
         boundary and continues from there without recompensating the
         prefix.  Every yielded frame owns its buffer, so chunks stay
-        valid after the iterator advances.
+        valid after the iterator advances.  A pass that runs from frame 0
+        to the end keeps its clipped fractions for
+        :meth:`mean_clipped_fraction`.
 
         Total over every clip: when the clip mixes frame resolutions
         (the batch cannot be stacked) the rest of the stream is finished
@@ -406,6 +417,7 @@ class AnnotatedStream:
             labels={"policy": self.policy.name},
         )
         produced = start
+        parts: List[np.ndarray] = []
         if not self._perframe:
             try:
                 for chunk in self.clip.iter_chunks(chunk_size, lead=lead, start=start):
@@ -416,6 +428,7 @@ class AnnotatedStream:
                         )
                     frames_counter.inc(chunk.stop - chunk.start)
                     produced, lead = chunk.stop, None
+                    parts.append(fractions)
                     yield CompensatedChunk(
                         pixels=pixels,
                         start=chunk.start,
@@ -423,20 +436,23 @@ class AnnotatedStream:
                         gains=gains,
                         clipped_fractions=fractions,
                     )
-                return
             except HeterogeneousFrameError:
                 pass  # finish per frame from the first unstackable chunk
         for lo, hi in chunk_spans(self.frame_count, chunk_size, lead=lead, start=produced):
             with trace("pipeline.compensate"):
                 results = [self.compensated_frame(i) for i in range(lo, hi)]
             frames_counter.inc(hi - lo)
+            fractions = np.array([r.clipped_fraction for r in results])
+            parts.append(fractions)
             yield CompensatedChunk(
                 pixels=[r.frame.pixels for r in results],
                 start=lo,
                 levels=self._levels[lo:hi],
                 gains=self._gains[lo:hi],
-                clipped_fractions=np.array([r.clipped_fraction for r in results]),
+                clipped_fractions=fractions,
             )
+        if start == 0 and parts:
+            self._clipped_fractions = np.concatenate(parts)
 
     def _histogram_fractions(
         self, start: int = 0, stop: Optional[int] = None
@@ -515,64 +531,27 @@ class AnnotatedStream:
         backlight = self.device.backlight
         return np.asarray(backlight.savings_fraction(self._levels))
 
-    def _clipped_fraction_at(self, index: int) -> float:
-        # A pixel clips iff its *peak channel* exceeds 1/gain, so the
-        # fraction needs only the cached peak-channel plane — no
-        # compensated frame is materialized.  Exact: x -> (x/255) * gain
-        # is monotone, so the per-channel "any" reduces to the peak.
-        # Non-gain transforms define their own clipping criterion.
-        cached = self._fraction_cache.get(index)
-        if cached is None:
-            if self._all_gain:
-                gain = float(self._gains[index])
-                plane = self.clip.peak_channel_plane(index)
-                cached = float((plane * gain > 1.0 + 1e-12).mean())
-            else:
-                cached = self.compensated_frame(index).clipped_fraction
-            self._fraction_cache[index] = cached
-        return cached
-
-    def _all_clipped_fractions(self) -> np.ndarray:
-        if self._clipped_fractions is None:
-            try:
-                parts = []
-                for chunk in self.clip.iter_chunks():
-                    if self._all_gain:
-                        gains = self._gains[chunk.start : chunk.stop]
-                        values = chunk.peak_channel * gains[:, None, None]
-                        parts.append((values > 1.0 + 1e-12).mean(axis=(1, 2)))
-                    else:
-                        for lo, hi, transform in self._scene_runs(
-                            chunk.start, chunk.stop
-                        ):
-                            parts.append(
-                                transform.batch_clipped_fractions(
-                                    chunk.pixels[lo - chunk.start : hi - chunk.start]
-                                )
-                            )
-                self._clipped_fractions = np.concatenate(parts)
-            except HeterogeneousFrameError:
-                self._clipped_fractions = np.array(
-                    [self._clipped_fraction_at(i) for i in range(self.frame_count)]
-                )
-        return self._clipped_fractions
-
     def mean_clipped_fraction(self, sample_every: int = 1) -> float:
-        """Average fraction of clipped pixels over (sampled) frames.
+        """Average fraction of clipped pixels over every ``sample_every``-th frame.
 
-        Computed from the batched peak-channel planes (cached after the
-        first call), so quality metrics no longer re-compensate frames
-        that the playback path already compensated.
+        Reads one per-frame array: the profile's exact histograms when
+        the stream has them (no pixel is read), otherwise the fractions
+        of a complete :meth:`iter_chunks` pass.  Only a sampled call
+        before either exists compensates just the sampled frames.
         """
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
-        if sample_every == 1 or self._clipped_fractions is not None:
-            return float(np.mean(self._all_clipped_fractions()[::sample_every]))
-        fractions = [
-            self._clipped_fraction_at(i)
-            for i in range(0, self.frame_count, sample_every)
-        ]
-        return float(np.mean(fractions))
+        if self._clipped_fractions is None:
+            self._clipped_fractions = self._histogram_fractions()
+        if self._clipped_fractions is None:
+            if sample_every > 1:
+                return float(np.mean([
+                    self.compensated_frame(i).clipped_fraction
+                    for i in range(0, self.frame_count, sample_every)
+                ]))
+            for _chunk in self.iter_chunks():
+                pass
+        return float(np.mean(self._clipped_fractions[::sample_every]))
 
     def __repr__(self) -> str:
         return (
@@ -608,9 +587,9 @@ def sweep_quality_levels(
         params, engine=engine, profile_cache=profile_cache, policy=policy
     )
     profile = pipeline.profile(clip)
-    streams = []
-    for q in qualities:
-        q_pipeline = AnnotationPipeline(params.with_quality(q), policy=policy)
-        track = q_pipeline.annotate(clip, profile=profile).bind(device)
-        streams.append(AnnotatedStream(clip=clip, track=track, device=device))
-    return streams
+    return [
+        AnnotationPipeline(
+            params.with_quality(q), engine=engine, policy=policy
+        ).build_stream(clip, device, profile=profile)
+        for q in qualities
+    ]

@@ -68,10 +68,6 @@ class PixelTransform:
         """Compensate a uint8 batch; returns (pixels, per-frame fractions)."""
         raise NotImplementedError
 
-    def batch_clipped_fractions(self, pixels: np.ndarray) -> np.ndarray:
-        """Per-frame clipped fractions only (metrics without pixel output)."""
-        return self.apply_batch(pixels)[1]
-
 
 class GainTransform(PixelTransform):
     """The paper's contrast enhancement: one multiplicative gain.
@@ -102,14 +98,6 @@ class GainTransform(PixelTransform):
     def apply_batch(self, pixels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Batched contrast enhancement (the existing chunked kernel)."""
         return contrast_enhancement_batch(pixels, self.gain)
-
-    def batch_clipped_fractions(self, pixels: np.ndarray) -> np.ndarray:
-        """Fractions via the peak channel — no compensated copy needed."""
-        pixels = _check_batch(pixels)
-        if self.gain <= 1.0:
-            return np.zeros(pixels.shape[0])
-        peak = pixels.max(axis=-1) * (self.gain / MAX_CHANNEL)
-        return (peak > _CLIP_THRESHOLD).mean(axis=(1, 2))
 
     def __repr__(self) -> str:
         return f"GainTransform(gain={self.gain:.3f})"

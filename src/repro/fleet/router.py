@@ -19,7 +19,7 @@ Routing policy, per first-packet kind:
 
 * ``hello`` — consistent-hash the clip name onto the ring
   (:class:`~repro.fleet.ring.HashRing`), so every session for a clip
-  lands on the shard whose profile/plane caches are already warm for
+  lands on the shard whose profile and binding caches are already warm for
   it.  If the owner is dead, full at its last ``status`` probe
   (not accepting, or at its session cap) or its handoff pair is full,
   *spill over* to the next distinct shard in ring order; the shard's own

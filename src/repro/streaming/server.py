@@ -20,7 +20,7 @@ from typing import (
 
 from ..core.annotation import AnnotationTrack
 from ..core.dvfs_annotation import DvfsAnnotator, DvfsTrack
-from ..core.engine import EngineSpec, resolve_engine
+from ..core.engine import EngineSpec
 from ..core.pipeline import AnnotatedStream, AnnotationPipeline, ProfileResult
 from ..core.policies import PolicySpec, get_policy, resolve_policy
 from ..core.policy import QUALITY_LEVELS, SchemeParameters
@@ -514,12 +514,10 @@ class MediaServer:
                      policy=self.policy.name, device=session.device_name)
         # The cached profile's exact histograms let the stream derive
         # clipped fractions without per-chunk pixel reductions.
-        stream = AnnotatedStream(
+        return AnnotatedStream(
             clip=clip, track=bound, device=device,
-            profile=self._profiles.get(session.clip_name),
+            profile=self._profiles.get(session.clip_name), engine=self.engine,
         )
-        stream._perframe = resolve_engine(self.engine).kind == "perframe"
-        return stream
 
     def _head_records(self, clip_name: str) -> int:
         """Data records in a stream's head: the annotation, plus DVFS."""

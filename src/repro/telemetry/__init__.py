@@ -6,7 +6,7 @@ records into one process-wide :class:`~repro.telemetry.metrics.MetricsRegistry`:
 * the annotation pipeline emits stage spans (``pipeline.profile``,
   ``pipeline.scene_grouping``, ``pipeline.clip``, ``pipeline.compensate``);
 * the execution engine times every chunk kernel and publishes frames/sec;
-* the profile and plane caches expose hit/miss/eviction/byte-size series;
+* the bounded caches expose hit/miss/eviction/entry-count series;
 * the streaming stack counts sessions, track requests, proxy windows,
   middleware renegotiations and applied backlight switches.
 

@@ -4,10 +4,8 @@ from .frame import Frame, LUMA_COEFFS, MAX_CHANNEL, luminance_to_gray_rgb, rgb_t
 from .chunks import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_CHUNK_TARGET_BYTES,
-    DEFAULT_PLANE_CACHE_BYTES,
     FrameChunk,
     HeterogeneousFrameError,
-    PlaneCache,
     autotune_chunk_size,
     chunk_spans,
 )
@@ -48,10 +46,8 @@ __all__ = [
     "concatenate",
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_CHUNK_TARGET_BYTES",
-    "DEFAULT_PLANE_CACHE_BYTES",
     "FrameChunk",
     "HeterogeneousFrameError",
-    "PlaneCache",
     "autotune_chunk_size",
     "chunk_spans",
     "DEFAULT_RESOLUTION",

@@ -15,25 +15,15 @@ floating-point operations, in the same order*, as the per-frame path in
 work from ``(H, W)`` to ``(N, H, W)`` cannot change a single bit.  The
 luminance tables below encode ``coeff * (code / MAX_CHANNEL)`` per 8-bit
 code, which is exactly what ``rgb_to_luminance`` computes per pixel.
-
-:class:`PlaneCache` is the companion piece: a byte-bounded LRU of derived
-per-frame planes, attached to a clip so that luminance/peak-channel maps
-are computed once per frame no matter how many consumers (profiling,
-compensation metrics, quality evaluation) touch the clip.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import OrderedDict
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..telemetry import registry as telemetry_registry
 from .frame import Frame, LUMA_COEFFS, MAX_CHANNEL
-
-_PLANE_CACHE_SEQ = itertools.count(1)
 
 #: Default number of frames per chunk.  At QVGA-class resolutions a chunk
 #: of 64 frames keeps the float64 working set a few megabytes — large
@@ -53,10 +43,6 @@ DEFAULT_CHUNK_TARGET_BYTES = 24 << 20
 #: working set stops fitting caches without buying more amortization.
 MIN_AUTOTUNE_CHUNK = 8
 MAX_AUTOTUNE_CHUNK = 256
-
-#: Default byte budget of a clip's :class:`PlaneCache` (per plane kind the
-#: effective budget is shared; 32 MiB holds ~580 planes at 96x72).
-DEFAULT_PLANE_CACHE_BYTES = 32 << 20
 
 
 class HeterogeneousFrameError(ValueError):
@@ -155,7 +141,7 @@ class FrameChunk:
         Global index of the first frame in the batch.
     """
 
-    __slots__ = ("pixels", "start", "_luminance", "_peak_u8", "_peak_channel")
+    __slots__ = ("pixels", "start", "_luminance", "_peak_u8")
 
     def __init__(self, pixels: np.ndarray, start: int = 0):
         arr = np.asarray(pixels)
@@ -169,7 +155,6 @@ class FrameChunk:
         self.start = int(start)
         self._luminance: Optional[np.ndarray] = None
         self._peak_u8: Optional[np.ndarray] = None
-        self._peak_channel: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -251,15 +236,6 @@ class FrameChunk:
             )
         return self._peak_u8
 
-    @property
-    def peak_channel(self) -> np.ndarray:
-        """Normalized peak-channel plane, ``(N, H, W)`` float64 (cached)."""
-        if self._peak_channel is None:
-            self._peak_channel = (
-                self.peak_channel_u8.astype(np.float64) / MAX_CHANNEL
-            )
-        return self._peak_channel
-
     # ------------------------------------------------------------------
     def frame(self, offset: int) -> Frame:
         """Materialize frame ``offset`` (chunk-local) as a :class:`Frame`.
@@ -273,8 +249,6 @@ class FrameChunk:
         frame = Frame(self.pixels[offset], index=self.start + offset)
         if self._luminance is not None:
             frame._luminance = self._luminance[offset]
-        if self._peak_channel is not None:
-            frame._peak_channel = self._peak_channel[offset]
         return frame
 
     def frames(self) -> List[Frame]:
@@ -284,145 +258,3 @@ class FrameChunk:
     def __repr__(self) -> str:
         h, w = self.frame_shape
         return f"FrameChunk(frames=[{self.start}:{self.stop}), {w}x{h})"
-
-
-class PlaneCache:
-    """Byte-bounded LRU cache of derived per-frame planes.
-
-    Keys are ``(frame_index, kind)`` pairs (``kind`` is ``"lum"`` or
-    ``"peak"``); values are standalone float64 planes.  A clip owns one
-    cache so that a plane is computed once per frame even when several
-    consumers (profiling, clipped-fraction metrics, quality evaluation)
-    each walk the clip.
-
-    Parameters
-    ----------
-    max_bytes:
-        Total plane bytes retained; least-recently-used planes are
-        evicted first.  ``0`` disables retention entirely.
-    """
-
-    def __init__(self, max_bytes: int = DEFAULT_PLANE_CACHE_BYTES):
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be non-negative, got {max_bytes}")
-        self.max_bytes = int(max_bytes)
-        self._planes: "OrderedDict[Tuple[int, str], np.ndarray]" = OrderedDict()
-        self._nbytes = 0
-        # Per-instance telemetry series: a unique cache label keeps fresh
-        # instances at zero while the shared registry aggregates them all.
-        reg = telemetry_registry()
-        self._registered = reg.generation
-        labels = {"cache": f"plane-{next(_PLANE_CACHE_SEQ)}"}
-        self._hit_counter = reg.counter(
-            "repro_cache_hits_total", help="Cache lookups served from the cache.",
-            labels=labels,
-        )
-        self._miss_counter = reg.counter(
-            "repro_cache_misses_total", help="Cache lookups that missed.",
-            labels=labels,
-        )
-        self._eviction_counter = reg.counter(
-            "repro_cache_evictions_total", help="Entries evicted to respect the bound.",
-            labels=labels,
-        )
-        self._bytes_gauge = reg.gauge(
-            "repro_cache_bytes", help="Plane bytes currently retained.", labels=labels,
-        )
-
-    def _ensure_registered(self) -> None:
-        """Re-attach this cache's series after a registry reset.
-
-        Long-lived caches outlive test-isolation resets; re-registering
-        keeps their series visible in snapshots.  Runs only once per
-        reset: a lookup otherwise costs one integer compare here.
-        """
-        reg = telemetry_registry()
-        generation = reg.generation
-        if self._registered == generation:
-            return
-        for metric in (self._hit_counter, self._miss_counter,
-                       self._eviction_counter, self._bytes_gauge):
-            reg.register(metric)
-        self._registered = generation
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._planes)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes currently retained."""
-        return self._nbytes
-
-    @property
-    def hits(self) -> int:
-        """Lookups served from the cache (reads the telemetry counter)."""
-        return self._hit_counter.value
-
-    @property
-    def misses(self) -> int:
-        """Lookups that missed (reads the telemetry counter)."""
-        return self._miss_counter.value
-
-    @property
-    def evictions(self) -> int:
-        """Planes evicted to respect ``max_bytes``."""
-        return self._eviction_counter.value
-
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, Any]:
-        """One-call summary of the cache's telemetry series."""
-        return {
-            "planes": len(self),
-            "bytes": self._nbytes,
-            "max_bytes": self.max_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_ratio": self.hit_ratio,
-        }
-
-    def get(self, index: int, kind: str) -> Optional[np.ndarray]:
-        """Return the cached plane for ``(index, kind)``, or ``None``."""
-        self._ensure_registered()
-        key = (index, kind)
-        plane = self._planes.get(key)
-        if plane is None:
-            self._miss_counter.inc()
-            return None
-        self._planes.move_to_end(key)
-        self._hit_counter.inc()
-        return plane
-
-    def put(self, index: int, kind: str, plane: np.ndarray) -> None:
-        """Retain a plane, evicting least-recently-used entries to fit."""
-        if self.max_bytes == 0 or plane.nbytes > self.max_bytes:
-            return
-        key = (index, kind)
-        old = self._planes.pop(key, None)
-        if old is not None:
-            self._nbytes -= old.nbytes
-        self._planes[key] = plane
-        self._nbytes += plane.nbytes
-        while self._nbytes > self.max_bytes:
-            _, evicted = self._planes.popitem(last=False)
-            self._nbytes -= evicted.nbytes
-            self._eviction_counter.inc()
-        self._bytes_gauge.set(self._nbytes)
-
-    def clear(self) -> None:
-        """Drop every cached plane (counters are kept)."""
-        self._planes.clear()
-        self._nbytes = 0
-        self._bytes_gauge.set(0)
-
-    def __repr__(self) -> str:
-        return (
-            f"PlaneCache(planes={len(self)}, {self._nbytes / 1024:.0f} KiB, "
-            f"hits={self.hits}, misses={self.misses})"
-        )

@@ -22,12 +22,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chunks import (
-    DEFAULT_CHUNK_SIZE,
-    FrameChunk,
-    PlaneCache,
-    chunk_spans,
-)
+from .chunks import DEFAULT_CHUNK_SIZE, FrameChunk, chunk_spans
 from .frame import Frame
 
 
@@ -84,39 +79,6 @@ class ClipBase:
                                        lead=lead, start=start):
             frames = [self.frame(i) for i in range(begin, stop)]
             yield FrameChunk.from_frames(frames, start=begin)
-
-    @property
-    def plane_cache(self) -> PlaneCache:
-        """The clip's LRU cache of derived per-frame planes (lazy).
-
-        Assign a differently sized :class:`~repro.video.chunks.PlaneCache`
-        to change the retention budget.
-        """
-        cache = self.__dict__.get("_plane_cache")
-        if cache is None:
-            cache = PlaneCache()
-            self.__dict__["_plane_cache"] = cache
-        return cache
-
-    @plane_cache.setter
-    def plane_cache(self, cache: PlaneCache) -> None:
-        self.__dict__["_plane_cache"] = cache
-
-    def luminance_plane(self, index: int) -> np.ndarray:
-        """Frame ``index``'s normalized luminance map, via the plane cache."""
-        plane = self.plane_cache.get(index, "lum")
-        if plane is None:
-            plane = self.frame(index).luminance
-            self.plane_cache.put(index, "lum", plane)
-        return plane
-
-    def peak_channel_plane(self, index: int) -> np.ndarray:
-        """Frame ``index``'s normalized peak-channel map, via the plane cache."""
-        plane = self.plane_cache.get(index, "peak")
-        if plane is None:
-            plane = self.frame(index).peak_channel
-            self.plane_cache.put(index, "peak", plane)
-        return plane
 
     # ------------------------------------------------------------------
     @property

@@ -22,6 +22,7 @@ from hypothesis.extra.numpy import arrays
 import repro.core.engine as engine_module
 from repro.core import (
     ENGINE_KINDS,
+    AnnotatedStream,
     AnnotationPipeline,
     EngineConfig,
     SchemeParameters,
@@ -308,12 +309,28 @@ class TestBatchedCompensation:
 
 
 class TestAnnotatedStreamEquivalence:
+    PARAMS = SchemeParameters(quality=0.05, min_scene_interval_frames=5)
+
     def build_streams(self, clip):
         device = ipaq_5555()
-        params = SchemeParameters(quality=0.05, min_scene_interval_frames=5)
-        chunked = AnnotationPipeline(params).build_stream(clip, device)
-        perframe = AnnotationPipeline(params, engine="perframe").build_stream(clip, device)
+        chunked = AnnotationPipeline(self.PARAMS).build_stream(clip, device)
+        perframe = AnnotationPipeline(self.PARAMS, engine="perframe").build_stream(
+            clip, device
+        )
         return chunked, perframe
+
+    @staticmethod
+    def mixed_resolution(library_clip):
+        """``library_clip`` with its second half cropped to a smaller size."""
+        half = library_clip.frame_count // 2
+        return VideoClip(
+            [
+                Frame(f.pixels if i < half else f.pixels[:-4, :-6].copy(), index=i)
+                for i, f in enumerate(library_clip)
+            ],
+            fps=library_clip.fps,
+            name="mixed",
+        )
 
     def test_iteration_matches_per_frame_api(self, library_clip):
         clip = ArrayClip.from_clip(library_clip)
@@ -336,14 +353,7 @@ class TestAnnotatedStreamEquivalence:
         # finishes on the per-frame path (from any start, under any
         # lead), and perframe-built streams take that path throughout.
         half = library_clip.frame_count // 2
-        mixed = VideoClip(
-            [
-                Frame(f.pixels if i < half else f.pixels[:-4, :-6].copy(), index=i)
-                for i, f in enumerate(library_clip)
-            ],
-            fps=library_clip.fps,
-            name="mixed",
-        )
+        mixed = self.mixed_resolution(library_clip)
         for clip in (ArrayClip.from_clip(library_clip), mixed):
             stream, reference = self.build_streams(clip)
             levels = reference.backlight_levels()
@@ -375,17 +385,41 @@ class TestAnnotatedStreamEquivalence:
                             )
 
     def test_mean_clipped_fraction_matches_reference(self, library_clip):
+        """Every source of the clipped-fraction array agrees with
+        :meth:`AnnotatedStream.compensated_frame` at each sampling step:
+        profile histograms, a complete ``iter_chunks`` pass (profile-less,
+        HEBS, mixed resolutions) and the sampled per-frame reads."""
+        device = ipaq_5555()
         clip = ArrayClip.from_clip(library_clip)
-        stream, reference = self.build_streams(clip)
-        for sample_every in (1, 3):
-            expected = float(
-                np.mean(
-                    [
-                        reference.compensated_frame(i).clipped_fraction
-                        for i in range(0, clip.frame_count, sample_every)
-                    ]
-                )
-            )
-            assert stream.mean_clipped_fraction(sample_every) == expected
-        # Second call must hit the caches and agree
-        assert stream.mean_clipped_fraction(3) == stream.mean_clipped_fraction(3)
+        mixed = self.mixed_resolution(library_clip)
+        profiled, _ = self.build_streams(clip)
+        makers = {
+            "profiled": lambda: self.build_streams(clip)[0],
+            "profile-less": lambda: AnnotatedStream(
+                clip=clip, track=profiled.track, device=device
+            ),
+            "hebs": lambda: AnnotationPipeline(self.PARAMS, policy="hebs")
+            .build_stream(clip, device),
+            "mixed-resolution": lambda: self.build_streams(mixed)[0],
+        }
+        for name, make in makers.items():
+            reference = make()
+            expected = {
+                k: float(np.mean([
+                    reference.compensated_frame(i).clipped_fraction
+                    for i in range(0, reference.frame_count, k)
+                ]))
+                for k in (1, 3)
+            }
+            assert expected[1] > 0.0, name
+            for sample_every in (1, 3):
+                stream = make()
+                assert stream.mean_clipped_fraction(sample_every) == expected[
+                    sample_every], name
+                # A repeated call reads what the first one left behind.
+                assert stream.mean_clipped_fraction(sample_every) == expected[
+                    sample_every], name
+            # Once the full array exists, sampled calls slice it.
+            stream = make()
+            stream.mean_clipped_fraction()
+            assert stream.mean_clipped_fraction(3) == expected[3], name

@@ -137,7 +137,10 @@ class TestHistogramFractions:
             clip=tiny_clip, track=stream.track, device=device
         )
         assert bare._histogram_fractions() is None
-        assert np.array_equal(via_hist, bare._all_clipped_fractions())
+        via_pixels = np.concatenate(
+            [chunk.clipped_fractions for chunk in bare.iter_chunks()]
+        )
+        assert np.array_equal(via_hist, via_pixels)
 
     def test_quality_metrics_share_the_cache(self, pipeline, tiny_clip, device):
         stream = pipeline.build_stream(tiny_clip, device)

@@ -151,6 +151,27 @@ class TestProfileCacheUnit:
         assert calls == [1]
         assert cache.hits == 1 and cache.misses == 1
 
+    def test_lookups_register_series_only_after_a_reset(self, monkeypatch):
+        from repro import telemetry
+
+        cache = ProfileCache()
+        cache.put("a", 1)
+        reg = telemetry.registry()
+        calls = []
+        real = reg.register
+        monkeypatch.setattr(reg, "register",
+                            lambda metric: calls.append(metric) or real(metric))
+        for _ in range(50):
+            assert cache.get("a") == 1
+            assert cache.get("b") is None
+        assert calls == []
+        telemetry.reset_registry()
+        cache.get("a")
+        cache.get("a")
+        assert len(calls) == 4  # the four series, once
+        assert reg.get("repro_cache_hits_total",
+                       cache._hit_counter.labels_dict()) is not None
+
     def test_params_key_ignores_quality(self):
         base = SchemeParameters(quality=0.0)
         assert profile_params_key(base) == profile_params_key(base.with_quality(0.2))

@@ -14,8 +14,12 @@ import pytest
 
 import repro
 from repro import api
-from repro.core import EngineConfig, SchemeParameters
-from repro.core.pipeline import AnnotationPipeline, sweep_quality_levels
+from repro.core import EngineConfig, ProfileCache, SchemeParameters
+from repro.core.pipeline import (
+    AnnotatedStream,
+    AnnotationPipeline,
+    sweep_quality_levels,
+)
 from repro.streaming import (
     ClientCapabilities,
     MediaServer,
@@ -105,6 +109,68 @@ class TestAnnotationService:
         assert len(facade) == len(direct) == 2
         for got, ref in zip(facade, direct):
             assert got.track.to_bytes() == ref.track.to_bytes()
+
+
+def _served_frames(stream):
+    """``(level, compensated bytes)`` of every frame of ``stream``."""
+    return [
+        (int(chunk.levels[k]), chunk.frame(k).pixels.tobytes())
+        for chunk in stream.iter_chunks()
+        for k in range(len(chunk))
+    ]
+
+
+class TestStreamBuilders:
+    """Every stream builder hands the stream its engine and profile."""
+
+    def test_perframe_engine_reaches_facade_and_sweep_streams(
+        self, tiny_clip, device, fast_params, monkeypatch
+    ):
+        expected = _served_frames(
+            AnnotationPipeline(fast_params).build_stream(tiny_clip, device)
+        )
+        calls = []
+        original = AnnotatedStream.compensated_frame
+        monkeypatch.setattr(
+            AnnotatedStream, "compensated_frame",
+            lambda self, index: calls.append(index) or original(self, index),
+        )
+        facade = api.AnnotationService(fast_params, engine="perframe").build_stream(
+            tiny_clip, device
+        )
+        swept = sweep_quality_levels(
+            tiny_clip, device, (fast_params.quality,), params=fast_params,
+            engine="perframe", profile_cache=ProfileCache(max_entries=0),
+        )[0]
+        for stream in (facade, swept):
+            del calls[:]
+            assert _served_frames(stream) == expected
+            assert calls == list(range(tiny_clip.frame_count))
+
+    def test_default_policy_fractions_read_no_frame(
+        self, tiny_clip, device, fast_params, monkeypatch
+    ):
+        service = api.AnnotationService(fast_params)
+        streams = [service.build_stream(tiny_clip, device)]
+        streams += service.sweep(tiny_clip, device, (0.05, 0.2))
+        streams += sweep_quality_levels(
+            tiny_clip, device, (0.1,), params=fast_params,
+            profile_cache=ProfileCache(max_entries=0),
+        )
+        expected = [
+            {k: AnnotatedStream(tiny_clip, s.track, device).mean_clipped_fraction(k)
+             for k in (1, 5)}
+            for s in streams
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mean_clipped_fraction read a frame")
+
+        monkeypatch.setattr(tiny_clip, "frame", refuse)
+        monkeypatch.setattr(tiny_clip, "iter_chunks", refuse)
+        for stream, want in zip(streams, expected):
+            assert stream.mean_clipped_fraction(5) == want[5]
+            assert stream.mean_clipped_fraction() == want[1]
 
 
 class TestStreamingService:

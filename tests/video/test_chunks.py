@@ -1,4 +1,4 @@
-"""Unit tests for repro.video.chunks — batched frame planes and caches."""
+"""Unit tests for repro.video.chunks — batched frame planes."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.video import (
     Frame,
     FrameChunk,
     HeterogeneousFrameError,
-    PlaneCache,
     VideoClip,
     chunk_spans,
 )
@@ -91,7 +90,9 @@ class TestFrameChunk:
         for k in range(6):
             frame = Frame(batch[k])
             assert np.array_equal(chunk.luminance[k], frame.luminance)
-            assert np.array_equal(chunk.peak_channel[k], frame.peak_channel)
+            assert np.array_equal(
+                chunk.peak_channel_u8[k], batch[k].max(axis=-1)
+            )
 
     def test_luminance_codes_match_quantization(self):
         batch = random_batch(4, seed=5)
@@ -164,74 +165,3 @@ class TestClipChunking:
         chunks = list(tiny_clip.iter_chunks(chunk_size=10))
         assert sum(len(c) for c in chunks) == tiny_clip.frame_count
         assert np.array_equal(chunks[0].pixels[3], tiny_clip.frame(3).pixels)
-
-
-class TestPlaneCache:
-    def test_hit_and_miss_counters(self):
-        cache = PlaneCache()
-        assert cache.get(0, "lum") is None
-        plane = np.zeros((4, 4))
-        cache.put(0, "lum", plane)
-        assert cache.get(0, "lum") is plane
-        assert cache.hits == 1
-        assert cache.misses == 1
-
-    def test_byte_bound_evicts_lru(self):
-        plane = np.zeros((4, 4))  # 128 bytes
-        cache = PlaneCache(max_bytes=3 * plane.nbytes)
-        for i in range(4):
-            cache.put(i, "lum", np.full((4, 4), float(i)))
-        assert cache.get(0, "lum") is None  # oldest evicted
-        assert cache.get(3, "lum") is not None
-        assert cache.nbytes <= cache.max_bytes
-        assert len(cache) == 3
-
-    def test_zero_budget_disables(self):
-        cache = PlaneCache(max_bytes=0)
-        cache.put(0, "lum", np.zeros((4, 4)))
-        assert len(cache) == 0
-
-    def test_clear(self):
-        cache = PlaneCache()
-        cache.put(0, "lum", np.zeros((4, 4)))
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.nbytes == 0
-
-    def test_clip_plane_accessors_cache(self):
-        batch = random_batch(5)
-        clip = ArrayClip(batch, name="a")
-        first = clip.luminance_plane(2)
-        second = clip.luminance_plane(2)
-        assert first is second
-        assert clip.plane_cache.hits == 1
-        assert np.array_equal(first, Frame(batch[2]).luminance)
-        peak = clip.peak_channel_plane(2)
-        assert np.array_equal(peak, Frame(batch[2]).peak_channel)
-
-    def test_lookups_register_series_only_after_a_reset(self, monkeypatch):
-        from repro import telemetry
-
-        cache = PlaneCache()
-        cache.put(0, "lum", np.zeros((4, 4)))
-        reg = telemetry.registry()
-        calls = []
-        real = reg.register
-        monkeypatch.setattr(reg, "register",
-                            lambda metric: calls.append(metric) or real(metric))
-        for _ in range(50):
-            assert cache.get(0, "lum") is not None
-            cache.get(1, "lum")
-        assert calls == []
-        telemetry.reset_registry()
-        cache.get(0, "lum")
-        cache.get(0, "lum")
-        assert len(calls) == 4  # the four series, once
-        assert reg.get("repro_cache_hits_total",
-                       cache._hit_counter.labels_dict()) is not None
-
-    def test_plane_cache_is_assignable(self):
-        clip = ArrayClip(random_batch(2))
-        replacement = PlaneCache(max_bytes=1024)
-        clip.plane_cache = replacement
-        assert clip.plane_cache is replacement
