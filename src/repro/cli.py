@@ -280,8 +280,6 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
         policy=args.policy,
     )
     stream = service.build_stream(clip, device)
-    for _chunk in stream.iter_chunks():
-        pass
     PlaybackEngine(device).play(stream)
     if args.format == "jsonl":
         sys.stdout.write(telemetry.to_jsonl())

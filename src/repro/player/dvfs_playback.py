@@ -16,10 +16,9 @@ import numpy as np
 
 from ..core.dvfs_annotation import DvfsTrack
 from ..core.pipeline import AnnotatedStream
-from ..display.transfer import MAX_BACKLIGHT_LEVEL
 from ..power.dvfs import DvfsCpuModel
-from ..power.model import ActivityState, DevicePowerModel
 from .decoder import DecoderModel
+from .playback import PlaybackResult, _play_frames, _read_stream
 
 
 @dataclass(frozen=True)
@@ -97,56 +96,39 @@ class DvfsPlaybackEngine:
         )
         self.decoder = decoder if decoder is not None else DecoderModel()
         self.network_duty = network_duty
-        self.power_model = DevicePowerModel(device)
 
     # ------------------------------------------------------------------
-    def _non_cpu_power(self, backlight_level: int) -> float:
-        parts = self.power_model.component_power(
-            ActivityState(cpu_load=0.0, network_duty=self.network_duty), backlight_level
-        )
-        return float(
-            parts["base"] + parts["network"] + parts["panel"] + np.asarray(parts["backlight"])
-        )
-
     def play(self, stream: AnnotatedStream, dvfs_track: DvfsTrack) -> DvfsPlaybackResult:
-        """Run the combined playback and account power per frame."""
+        """Run the combined playback and account power per frame.
+
+        Two runs of the playback loop over one set of decode times: at
+        the annotated operating points (combined, and its full-backlight
+        baseline), and pinned at the fastest point (backlight only, and
+        the reference).  Both apply the backlight through the controller.
+        """
         if dvfs_track.frame_count != stream.frame_count:
             raise ValueError(
                 f"DVFS track covers {dvfs_track.frame_count} frames, stream has "
                 f"{stream.frame_count}"
             )
-        fps = stream.fps
-        period = 1.0 / fps
-        levels = stream.backlight_levels()
+        requested, decode_s = _read_stream(stream, self.decoder)
         schedule = dvfs_track.frequency_schedule(self.cpu)
-        cycles = dvfs_track.per_frame_cycles()
-        max_level = self.cpu.max_level
 
-        n = stream.frame_count
-        freqs = np.empty(n)
-        combined = np.empty(n)
-        backlight_only = np.empty(n)
-        reference = np.empty(n)
-        late = 0
-        for i in range(n):
-            frame = stream.compensated_frame(i).frame
-            true_cycles = self.decoder.decode_time_s(frame) * self.decoder.cpu_hz
-            point = schedule[i]
-            freqs[i] = point.hz
-            if true_cycles > point.hz * period + 1e-9:
-                late += 1
-            cpu_combined = self.cpu.energy_per_frame_j(point, true_cycles, period) / period
-            cpu_max = self.cpu.energy_per_frame_j(max_level, true_cycles, period) / period
-            combined[i] = self._non_cpu_power(int(levels[i])) + cpu_combined
-            backlight_only[i] = self._non_cpu_power(int(levels[i])) + cpu_max
-            reference[i] = self._non_cpu_power(MAX_BACKLIGHT_LEVEL) + cpu_max
+        def run(points) -> PlaybackResult:
+            return _play_frames(
+                self.device, self.decoder, stream.clip.name, stream.fps, requested,
+                decode_s, self.network_duty, dvfs=(self.cpu, points),
+            )
+
+        combined = run(schedule)
+        pinned = run([self.cpu.max_level] * len(schedule))
         return DvfsPlaybackResult(
             clip_name=stream.clip.name,
-            fps=fps,
-            applied_levels=levels,
-            frequencies_hz=freqs,
-            power_combined_w=combined,
-            power_backlight_only_w=backlight_only,
-            power_reference_w=reference,
-            late_frames=late,
+            fps=stream.fps,
+            applied_levels=combined.applied_levels,
+            frequencies_hz=np.array([point.hz for point in schedule]),
+            power_combined_w=combined.per_frame_power_w,
+            power_backlight_only_w=pinned.per_frame_power_w,
+            power_reference_w=pinned.baseline_power_w,
+            late_frames=combined.dropped_deadline_count,
         )

@@ -6,13 +6,15 @@ level ("the only extra operation that the device has to perform during
 playback is to adjust the backlight level periodically, according to the
 annotations in the video stream"), charges the decoder's CPU time, and
 accumulates the ground-truth power waveform that the DAQ simulator samples
-for the Figure 10 measurements.
+for the Figure 10 measurements.  That loop, :func:`_play_frames`, is the
+one every player runs: this engine, the DVFS engine and the packet client
+differ only in where the levels, frames and operating points come from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from ..display.devices import DeviceProfile
 from ..display.transfer import MAX_BACKLIGHT_LEVEL
 from ..power.daq import DAQSimulator, PowerTrace
 from ..power.measurement import simulated_backlight_savings
+from ..power.dvfs import DvfsCpuModel, FrequencyLevel
 from ..power.model import ActivityState, DevicePowerModel
 from .backlight_control import BacklightController
 from .decoder import DecoderModel
@@ -65,25 +68,108 @@ class PlaybackResult:
 
     def measure(self, daq: Optional[DAQSimulator] = None, run_id: int = 0) -> PowerTrace:
         """Sample this run's power waveform through a DAQ."""
-        daq = daq if daq is not None else DAQSimulator(seed=run_id)
-        power = self.per_frame_power_w
-
-        def power_at(t: np.ndarray) -> np.ndarray:
-            idx = np.clip((np.asarray(t) * self.fps).astype(np.int64), 0, power.size - 1)
-            return power[idx]
-
-        return daq.measure(power_at, self.duration_s)
+        return self._sample(self.per_frame_power_w, daq, run_id)
 
     def measure_baseline(self, daq: Optional[DAQSimulator] = None, run_id: int = 1) -> PowerTrace:
         """Sample the full-backlight reference run's waveform."""
+        return self._sample(self.baseline_power_w, daq, run_id)
+
+    def _sample(self, power: np.ndarray, daq: Optional[DAQSimulator], run_id: int) -> PowerTrace:
+        """Sample a per-frame waveform, held for each frame period, through a DAQ."""
         daq = daq if daq is not None else DAQSimulator(seed=run_id)
-        power = self.baseline_power_w
 
         def power_at(t: np.ndarray) -> np.ndarray:
             idx = np.clip((np.asarray(t) * self.fps).astype(np.int64), 0, power.size - 1)
             return power[idx]
 
         return daq.measure(power_at, self.duration_s)
+
+
+def _read_stream(stream: AnnotatedStream, decoder: DecoderModel) -> Tuple[np.ndarray, np.ndarray]:
+    """Requested levels and per-frame decode times of one compensated pass.
+
+    Reads ``for frame, level in stream`` — the :meth:`AnnotatedStream.iter_chunks`
+    path, bit-identical to compensating each frame on its own.
+    """
+    levels = []
+    decode_s = []
+    for frame, level in stream:
+        levels.append(level)
+        decode_s.append(decoder.decode_time_s(frame))
+    return np.array(levels, dtype=np.int64), np.array(decode_s)
+
+
+def _play_frames(
+    device: DeviceProfile,
+    decoder: DecoderModel,
+    clip_name: str,
+    fps: float,
+    requested: np.ndarray,
+    decode_s: np.ndarray,
+    network_duty: float,
+    min_switch_interval_s: float = 0.0,
+    dvfs: Optional[Tuple[DvfsCpuModel, Sequence[FrequencyLevel]]] = None,
+) -> PlaybackResult:
+    """The per-frame power loop behind every player.
+
+    Each frame period the backlight controller applies the requested
+    level (subject to its response-time floor and guard interval), the
+    frame's decode time sets the CPU's work, and the device power model
+    prices the frame at the applied level and at full backlight.
+
+    Without ``dvfs`` the CPU runs at the decoder's clock and its load is
+    ``decode_s / period``.  With ``dvfs = (cpu, points)`` frame ``i``
+    retires ``decode_s[i] * decoder.cpu_hz`` cycles at operating point
+    ``points[i]``: the CPU draws that point's active-burst + idle energy
+    over the period in place of the linear load model, and the
+    full-backlight baseline keeps the same CPU power.  A frame whose
+    decode overruns its period counts as a deadline miss.
+    """
+    model = DevicePowerModel(device)
+    controller = BacklightController(device.backlight, min_switch_interval_s=min_switch_interval_s)
+    period = 1.0 / fps
+    n = decode_s.size
+    applied = np.empty(n, dtype=np.int64)
+    cpu_loads = np.empty(n)
+    power = np.empty(n)
+    baseline_power = np.empty(n)
+    dropped = 0
+    # With DVFS the activity runs the CPU at zero load, and its idle draw
+    # is swapped for the operating point's energy over the period.
+    cpu_idle_w = cpu_w = 0.0
+    if dvfs is not None:
+        cpu, points = dvfs
+        cpu_idle_w = device.power.cpu_idle_w
+        activity = ActivityState(cpu_load=0.0, network_duty=network_duty)
+    for i in range(n):
+        applied[i] = controller.request(i * period, int(requested[i]))
+        if dvfs is None:
+            cpu_loads[i] = min(decode_s[i] / period, 1.0)
+            late = decode_s[i] > period
+            activity = ActivityState(cpu_load=float(cpu_loads[i]), network_duty=network_duty)
+        else:
+            cycles = decode_s[i] * decoder.cpu_hz
+            budget = points[i].hz * period
+            cpu_loads[i] = min(cycles / budget, 1.0)
+            late = cycles > budget + 1e-9
+            cpu_w = cpu.energy_per_frame_j(points[i], cycles, period) / period
+        if late:
+            dropped += 1
+        power[i] = float(model.total_power(activity, int(applied[i]))) - cpu_idle_w + cpu_w
+        baseline_power[i] = (
+            float(model.total_power(activity, MAX_BACKLIGHT_LEVEL)) - cpu_idle_w + cpu_w
+        )
+    return PlaybackResult(
+        device_name=device.name,
+        clip_name=clip_name,
+        fps=fps,
+        applied_levels=applied,
+        cpu_loads=cpu_loads,
+        per_frame_power_w=power,
+        baseline_power_w=baseline_power,
+        switch_count=controller.switch_count,
+        dropped_deadline_count=dropped,
+    )
 
 
 class PlaybackEngine:
@@ -114,7 +200,6 @@ class PlaybackEngine:
         self.decoder = decoder if decoder is not None else DecoderModel()
         self.network_duty = network_duty
         self.min_switch_interval_s = min_switch_interval_s
-        self.power_model = DevicePowerModel(device)
 
     # ------------------------------------------------------------------
     def play(self, stream: AnnotatedStream) -> PlaybackResult:
@@ -124,41 +209,10 @@ class PlaybackEngine:
                 f"stream was annotated for {stream.device.name!r}, "
                 f"engine device is {self.device.name!r}"
             )
-        controller = BacklightController(
-            self.device.backlight, min_switch_interval_s=self.min_switch_interval_s
-        )
-        fps = stream.fps
-        period = 1.0 / fps
-        n = stream.frame_count
-        requested = stream.backlight_levels()
-
-        applied = np.empty(n, dtype=np.int64)
-        cpu_loads = np.empty(n)
-        power = np.empty(n)
-        baseline_power = np.empty(n)
-        dropped = 0
-        for i in range(n):
-            t = i * period
-            frame, _level = stream.compensated_frame(i).frame, int(requested[i])
-            applied[i] = controller.request(t, int(requested[i]))
-            cpu_loads[i] = self.decoder.cpu_load(frame, period)
-            if not self.decoder.can_sustain(frame, fps):
-                dropped += 1
-            activity = ActivityState(cpu_load=float(cpu_loads[i]), network_duty=self.network_duty)
-            power[i] = float(self.power_model.total_power(activity, int(applied[i])))
-            baseline_power[i] = float(
-                self.power_model.total_power(activity, MAX_BACKLIGHT_LEVEL)
-            )
-        return PlaybackResult(
-            device_name=self.device.name,
-            clip_name=stream.clip.name,
-            fps=fps,
-            applied_levels=applied,
-            cpu_loads=cpu_loads,
-            per_frame_power_w=power,
-            baseline_power_w=baseline_power,
-            switch_count=controller.switch_count,
-            dropped_deadline_count=dropped,
+        requested, decode_s = _read_stream(stream, self.decoder)
+        return _play_frames(
+            self.device, self.decoder, stream.clip.name, stream.fps, requested, decode_s,
+            self.network_duty, self.min_switch_interval_s,
         )
 
     def backlight_savings(self, result: PlaybackResult) -> float:

@@ -6,7 +6,7 @@ level periodically, according to the annotations in the video stream."
 The client here does exactly that — it parses annotation packets into a
 per-frame backlight schedule, displays the (already compensated) frames,
 and lets the backlight controller apply the levels.  Power is accounted
-per frame with the decoder and radio models.
+by the player's per-frame loop, the same one in-process playback runs.
 """
 
 from __future__ import annotations
@@ -18,12 +18,9 @@ import numpy as np
 from ..core.annotation import DeviceAnnotationTrack
 from ..core.dvfs_annotation import DvfsTrack
 from ..display.devices import DeviceProfile
-from ..display.transfer import MAX_BACKLIGHT_LEVEL
-from ..player.backlight_control import BacklightController
 from ..player.decoder import DecoderModel
-from ..player.playback import PlaybackResult
+from ..player.playback import PlaybackResult, _play_frames
 from ..power.dvfs import DvfsCpuModel
-from ..power.model import ActivityState, DevicePowerModel
 from ..telemetry import registry as telemetry_registry
 from .network import DeliverySchedule
 from .packets import MediaPacket, PacketType
@@ -56,7 +53,6 @@ class MobileClient:
         self.device = device
         self.decoder = decoder if decoder is not None else DecoderModel()
         self.min_switch_interval_s = min_switch_interval_s
-        self.power_model = DevicePowerModel(device)
         reg = telemetry_registry()
         self._packets_counter = reg.counter(
             "repro_client_packets_total", help="Stream packets consumed by clients.",
@@ -78,24 +74,15 @@ class MobileClient:
         )
 
     # ------------------------------------------------------------------
-    def _stitch_levels(self, tracks: List[DeviceAnnotationTrack], frame_count: int) -> np.ndarray:
-        """Concatenate chunk tracks into one per-frame level schedule."""
-        levels = np.concatenate([t.per_frame_levels() for t in tracks])
-        if levels.size != frame_count:
-            raise StreamProtocolError(
-                f"annotations cover {levels.size} frames but {frame_count} arrived"
-            )
-        return levels
-
     @staticmethod
-    def _stitch_dvfs(tracks: List[DvfsTrack], frame_count: int) -> np.ndarray:
-        """Concatenate chunk DVFS tracks into one per-frame cycles array."""
-        cycles = np.concatenate([t.per_frame_cycles() for t in tracks])
-        if cycles.size != frame_count:
+    def _stitch(per_frame: List[np.ndarray], frame_count: int, what: str) -> np.ndarray:
+        """Concatenate chunk tracks' per-frame arrays into one schedule."""
+        values = np.concatenate(per_frame)
+        if values.size != frame_count:
             raise StreamProtocolError(
-                f"DVFS annotations cover {cycles.size} frames but {frame_count} arrived"
+                f"{what} cover {values.size} frames but {frame_count} arrived"
             )
-        return cycles
+        return values
 
     def play_stream(
         self,
@@ -183,10 +170,12 @@ class MobileClient:
         if not frames:
             raise StreamProtocolError("stream carried no frames")
         # One batched bump per stream, not one per packet — the playback
-        # loop below stays free of per-frame telemetry calls.
+        # loop stays free of per-frame telemetry calls.
         self._packets_counter.inc(packet_count)
         self._frames_played_counter.inc(len(frames))
-        levels = self._stitch_levels(tracks, len(frames))
+        levels = self._stitch(
+            [t.per_frame_levels() for t in tracks], len(frames), "annotations"
+        )
         for start, track in rebinds:
             replacement = track.per_frame_levels()
             if replacement.size != len(frames):
@@ -196,63 +185,19 @@ class MobileClient:
                 )
             levels[start:] = replacement[start:]
 
-        use_dvfs = cpu is not None and dvfs_tracks
-        if use_dvfs:
-            annotated_cycles = self._stitch_dvfs(dvfs_tracks, len(frames))
+        dvfs = None
+        if cpu is not None and dvfs_tracks:
+            annotated_cycles = self._stitch(
+                [t.per_frame_cycles() for t in dvfs_tracks], len(frames), "DVFS annotations"
+            )
+            period = 1.0 / session.fps
+            dvfs = (cpu, [cpu.slowest_level_for(float(c), period) for c in annotated_cycles])
 
         duty = network_duty
         if delivery is not None:
             duty = delivery.radio_duty(len(frames) / session.fps)
-
-        period = 1.0 / session.fps
-        controller = BacklightController(
-            self.device.backlight, min_switch_interval_s=self.min_switch_interval_s
-        )
-        n = len(frames)
-        applied = np.empty(n, dtype=np.int64)
-        cpu_loads = np.empty(n)
-        power = np.empty(n)
-        baseline_power = np.empty(n)
-        dropped = 0
-        for i, frame in enumerate(frames):
-            applied[i] = controller.request(i * period, int(levels[i]))
-            activity = ActivityState(cpu_load=0.0, network_duty=duty)
-            if use_dvfs:
-                point = cpu.slowest_level_for(float(annotated_cycles[i]), period)
-                true_cycles = self.decoder.decode_time_s(frame) * self.decoder.cpu_hz
-                cpu_loads[i] = min(true_cycles / (point.hz * period), 1.0)
-                if true_cycles > point.hz * period + 1e-9:
-                    dropped += 1
-                cpu_power = cpu.energy_per_frame_j(point, true_cycles, period) / period
-                non_cpu = float(
-                    self.power_model.total_power(activity, int(applied[i]))
-                ) - self.device.power.cpu_idle_w
-                non_cpu_base = float(
-                    self.power_model.total_power(activity, MAX_BACKLIGHT_LEVEL)
-                ) - self.device.power.cpu_idle_w
-                power[i] = non_cpu + cpu_power
-                baseline_power[i] = non_cpu_base + cpu_power
-            else:
-                cpu_loads[i] = self.decoder.cpu_load(frame, period)
-                if not self.decoder.can_sustain(frame, session.fps):
-                    dropped += 1
-                activity = ActivityState(
-                    cpu_load=float(cpu_loads[i]), network_duty=duty
-                )
-                power[i] = float(
-                    self.power_model.total_power(activity, int(applied[i]))
-                )
-                baseline_power[i] = float(
-                    self.power_model.total_power(activity, MAX_BACKLIGHT_LEVEL)
-                )
-        return PlaybackResult(
-            device_name=self.device.name,
-            clip_name=session.clip_name,
-            fps=session.fps,
-            applied_levels=applied,
-            cpu_loads=cpu_loads,
-            per_frame_power_w=power,
-            baseline_power_w=baseline_power,
-            switch_count=controller.switch_count,
-            dropped_deadline_count=dropped,
+        return _play_frames(
+            self.device, self.decoder, session.clip_name, session.fps, levels,
+            np.array([self.decoder.decode_time_s(frame) for frame in frames]),
+            duty, self.min_switch_interval_s, dvfs=dvfs,
         )
