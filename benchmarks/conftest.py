@@ -1,7 +1,9 @@
 """Shared benchmark fixtures and the results reporter.
 
-Every benchmark regenerates one table/figure of the paper.  Besides the
-pytest-benchmark timing, each writes the reproduced rows/series to
+Every benchmark regenerates one table/figure of the paper; the paper's
+Figures 6-10 and the backlight share come from :mod:`repro.experiments`
+at its ``DEFAULT_*`` scale.  Besides the pytest-benchmark timing, each
+writes the reproduced rows/series to
 ``benchmarks/results/<name>.txt`` (and echoes to stdout when run with
 ``-s``), so EXPERIMENTS.md can be assembled from the artifacts.
 """
@@ -14,11 +16,6 @@ from typing import Iterable, List
 import pytest
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-#: Shrink factors shared by all benchmarks: the algorithms are length- and
-#: resolution-agnostic, so reproduced *shapes* are unaffected.
-DURATION_SCALE = 0.25
-RESOLUTION = (96, 72)
 
 
 @pytest.fixture(scope="session")
@@ -36,14 +33,6 @@ def report():
             print(f"  {line}")
 
     return write
-
-
-@pytest.fixture(scope="session")
-def library():
-    """The ten-title clip library at benchmark scale (built once)."""
-    from repro.video import paper_library
-
-    return paper_library(resolution=RESOLUTION, duration_scale=DURATION_SCALE)
 
 
 @pytest.fixture(scope="session")

@@ -1,32 +1,21 @@
 """Section 4 claim: "On a typical PDA the backlight dominates other
 components, with about 25-30 % of total power consumption."
 
-Regenerates the per-device component power breakdown during playback.
+The per-device component power breakdown during playback, from
+:func:`repro.experiments.backlight_share`.
 """
 
+from repro import experiments
 from repro.display import all_devices
 from repro.power import PLAYBACK_ACTIVITY, DevicePowerModel
 
 
 def test_backlight_share(benchmark, report):
-    lines = [f"{'device':<16}{'base':>7}{'cpu':>7}{'net':>7}{'panel':>7}"
-             f"{'backlight':>10}{'total':>8}{'share':>7}"]
-    shares = {}
-    for dev in all_devices():
-        model = DevicePowerModel(dev)
-        parts = model.component_power(PLAYBACK_ACTIVITY, 255)
-        total = float(model.total_power(PLAYBACK_ACTIVITY, 255))
-        share = model.backlight_share()
-        shares[dev.name] = share
-        lines.append(
-            f"{dev.name:<16}"
-            f"{parts['base']:>7.2f}{parts['cpu']:>7.2f}{parts['network']:>7.2f}"
-            f"{parts['panel']:>7.2f}{float(parts['backlight']):>10.2f}"
-            f"{total:>8.2f}{share:>7.1%}"
-        )
-    report("backlight_share", lines)
+    breakdown = experiments.backlight_share()
+    report("backlight_share", [breakdown.format()])
 
-    for name, share in shares.items():
+    for name in breakdown.rows:
+        share = breakdown.share(name)
         assert 0.22 <= share <= 0.40, f"{name}: {share:.1%}"
 
     model = DevicePowerModel(all_devices()[0])

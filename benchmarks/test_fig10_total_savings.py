@@ -1,68 +1,49 @@
 """Figure 10: measured total-device power savings.
 
 Ten clips x five quality levels, played back on the simulated iPAQ 5555
-with the DAQ measurement chain, against a full-backlight reference run —
-"The measured results are in line with the simulation, showing up to
-15-20 % power reduction for the entire device, with the exception of
-ice_age, which shows almost no improvement."
+with the DAQ measurement chain, against a full-backlight reference run,
+from :func:`repro.experiments.figure10` — "The measured results are in
+line with the simulation, showing up to 15-20 % power reduction for the
+entire device, with the exception of ice_age, which shows almost no
+improvement."
 """
 
-import numpy as np
 import pytest
 
-from repro.core import QUALITY_LEVELS, SchemeParameters, quality_label, sweep_quality_levels
-from repro.player import PlaybackEngine
-from repro.video import PAPER_CLIP_NAMES
+from repro import experiments
+from repro.core import sweep_quality_levels
+from repro.player import DecoderModel, PlaybackEngine
+from repro.power import simulated_backlight_savings
+from repro.video import PAPER_CLIP_NAMES, make_clip
 
 
-@pytest.fixture(scope="module")
-def measured_table(library, device):
-    # Frames are shrunk for simulation speed; charge decode cost at the
-    # iPAQ's native QVGA resolution so the CPU share stays realistic.
-    from repro.player import DecoderModel
-    engine = PlaybackEngine(device, decoder=DecoderModel(reference_pixels=320 * 240))
-    params = SchemeParameters()
-    table = {}
-    for clip in library:
-        streams = sweep_quality_levels(clip, device, QUALITY_LEVELS, params=params)
-        row = []
-        for run_id, stream in enumerate(streams):
-            result = engine.play(stream)
-            measured = result.measure(run_id=2 * run_id).savings_vs(
-                result.measure_baseline(run_id=2 * run_id + 1)
-            )
-            row.append(measured)
-        table[clip.name] = row
-    return table
-
-
-def test_fig10_total_savings(benchmark, report, measured_table, library, device):
-    lines = [
-        f"{'clip':<22}" + "".join(f"{quality_label(q):>8}" for q in QUALITY_LEVELS)
-    ]
-    for name in PAPER_CLIP_NAMES:
-        lines.append(f"{name:<22}" + "".join(f"{v:>8.1%}" for v in measured_table[name]))
-    peak = max(v[-1] for v in measured_table.values())
-    lines.append("")
-    lines.append(f"peak total-device savings at 20% quality: {peak:.1%}")
-    lines.append(f"ice_age at 20% quality: {measured_table['ice_age'][-1]:.1%}")
-    report("fig10_total_savings", lines)
+def test_fig10_total_savings(benchmark, report, device):
+    fig10 = experiments.figure10(device)
+    rows = fig10.rows
+    peak = max(row[-1] for row in rows.values())
+    report("fig10_total_savings", [
+        fig10.format(),
+        "",
+        f"peak total-device savings at 20% quality: {peak:.1%}",
+        f"ice_age at 20% quality: {rows['ice_age'][-1]:.1%}",
+    ])
 
     # Monotone-ish in quality (DAQ noise allows ~1 % wiggle).
-    for name, row in measured_table.items():
+    for name, row in rows.items():
         assert all(b >= a - 0.015 for a, b in zip(row, row[1:])), name
 
     # Peak lands in (or near) the paper's 15-20 % band.
     assert 0.12 <= peak <= 0.25
 
     # ice_age shows almost no improvement.
-    assert measured_table["ice_age"][-1] < 0.06
+    assert rows["ice_age"][-1] < 0.06
 
     # Measured tracks simulation: total ~= backlight savings x share.
-    from repro.power import simulated_backlight_savings
-    from repro.player import DecoderModel
+    # Frames are shrunk for simulation speed; decode cost is charged at
+    # the iPAQ's native QVGA resolution, as figure10 does.
     engine = PlaybackEngine(device, decoder=DecoderModel(reference_pixels=320 * 240))
-    clip = library[0]
+    clip = make_clip(PAPER_CLIP_NAMES[0], resolution=experiments.DEFAULT_RESOLUTION,
+                     duration_scale=experiments.DEFAULT_DURATION_SCALE)
     stream = sweep_quality_levels(clip, device, [0.10])[0]
     result = engine.play(stream)
     bl = simulated_backlight_savings(result.applied_levels, device)

@@ -1,42 +1,31 @@
 """Figure 6: scene grouping during playback.
 
-Regenerates the three curves of the figure for a short clip at the 10 %
-quality level: per-frame max luminance, the scene max luminance step
-function, and the instantaneous backlight power savings.  Benchmarks the
-profiling pass (analysis + scene detection), the dominant server cost.
+The three curves of the figure for a short clip at the 10 % quality
+level, from :func:`repro.experiments.figure6`: per-frame max luminance,
+the scene max luminance step function, and the instantaneous backlight
+power savings.  Benchmarks the profiling pass (analysis + scene
+detection), the dominant server cost.
 """
 
 import numpy as np
 
+from repro import experiments
 from repro.core import AnnotationPipeline, SchemeParameters
 from repro.video import make_clip
 
 
-def test_fig6_scene_grouping(benchmark, report, device):
-    clip = make_clip("themovie", resolution=(96, 72), duration_scale=0.25)
-    params = SchemeParameters(quality=0.10, min_scene_interval_frames=8)
-    pipeline = AnnotationPipeline(params)
+def test_fig6_scene_grouping(benchmark, report):
+    trace = experiments.figure6("themovie", quality=0.10)
+    frame_max = trace.frame_max_luminance
+    scene_max = trace.scene_max_luminance
+    inst_savings = trace.instantaneous_savings
 
-    profile = benchmark.pedantic(pipeline.profile, args=(clip,), rounds=3, iterations=1)
-    stream = AnnotationPipeline(params).build_stream(clip, device)
-
-    frame_max = profile.max_luminance_series()
-    scene_max = profile.scene_max_series()
-    inst_savings = stream.instantaneous_savings()
-    t = np.arange(clip.frame_count) / clip.fps
-
-    lines = ["time_s  frame_max_lum  scene_max_lum  backlight_power_saved"]
-    step = max(1, clip.frame_count // 24)
-    for i in range(0, clip.frame_count, step):
-        lines.append(
-            f"{t[i]:>6.2f} {frame_max[i]:>14.3f} {scene_max[i]:>14.3f} "
-            f"{inst_savings[i]:>22.1%}"
-        )
-    lines.append("")
-    lines.append(f"scenes: {len(profile.scenes)}  "
-                 f"switches: {stream.track.switch_count()}  "
-                 f"mean savings: {inst_savings.mean():.1%}")
-    report("fig6_scene_grouping", lines)
+    report("fig6_scene_grouping", [
+        trace.format(),
+        "",
+        f"scenes: {trace.scene_count}  switches: {trace.switch_count}  "
+        f"mean savings: {inst_savings.mean():.1%}",
+    ])
 
     # Shape checks: the scene curve is a step function dominating the
     # frame curve, and savings move inversely with scene luminance.
@@ -44,3 +33,8 @@ def test_fig6_scene_grouping(benchmark, report, device):
     assert len(np.unique(scene_max)) < len(np.unique(frame_max))
     dark_mask = scene_max < np.median(scene_max)
     assert inst_savings[dark_mask].mean() > inst_savings[~dark_mask].mean()
+
+    clip = make_clip("themovie", resolution=experiments.DEFAULT_RESOLUTION,
+                     duration_scale=experiments.DEFAULT_DURATION_SCALE)
+    pipeline = AnnotationPipeline(SchemeParameters(quality=0.10, min_scene_interval_frames=8))
+    benchmark.pedantic(pipeline.profile, args=(clip,), rounds=3, iterations=1)

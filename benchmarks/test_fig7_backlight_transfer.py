@@ -1,42 +1,31 @@
 """Figure 7: measured brightness vs backlight level (white pattern).
 
-Regenerates the calibration sweep for the three PDAs via the camera
-methodology.  The paper's observations to reproduce: the response is NOT
-linear in the backlight register, and each display technology has its own
-curve.  Benchmarks one full camera sweep.
+The camera calibration sweep for the three PDAs, from
+:func:`repro.experiments.figure7`.  The paper's observations to
+reproduce: the response is NOT linear in the backlight register, and each
+display technology has its own curve.  Benchmarks one full camera sweep.
 """
 
-import numpy as np
-
+from repro import experiments
 from repro.camera import DigitalCamera, SRGBLikeResponse
 from repro.display import all_devices, measure_backlight_transfer
 
 
 def test_fig7_backlight_transfer(benchmark, report):
-    camera = DigitalCamera(response=SRGBLikeResponse(), noise_sigma=0.002, seed=7)
-    devices = all_devices()
-    curves = {d.name: measure_backlight_transfer(d, camera) for d in devices}
-
-    levels = list(range(0, 256, 32)) + [255]
-    header = "level  " + "  ".join(f"{d.name:>14}" for d in devices)
-    lines = [header]
-    for lv in levels:
-        lines.append(
-            f"{lv:>5}  "
-            + "  ".join(f"{float(curves[d.name].luminance(lv)):>14.3f}" for d in devices)
-        )
-    report("fig7_backlight_transfer", lines)
+    fig7 = experiments.figure7()
+    report("fig7_backlight_transfer", [fig7.format()])
 
     # Nonlinearity: mid-level luminance is far from level/255 on every
     # device (the paper: "not linear with the backlight level").
-    for d in devices:
-        mid = float(curves[d.name].luminance(128))
-        assert abs(mid - 128 / 255) > 0.05, d.name
+    mid = fig7.levels.index(128)
+    for name, curve in fig7.curves.items():
+        assert abs(curve[mid] - 128 / 255) > 0.05, name
 
     # Device diversity: the three curves differ pairwise.
-    mids = [round(float(curves[d.name].luminance(96)), 2) for d in devices]
-    assert len(set(mids)) == 3
+    low = fig7.levels.index(96)
+    assert len({round(curve[low], 2) for curve in fig7.curves.values()}) == 3
 
+    camera = DigitalCamera(response=SRGBLikeResponse(), noise_sigma=0.002, seed=7)
     benchmark.pedantic(
-        measure_backlight_transfer, args=(devices[0], camera), rounds=3, iterations=1
+        measure_backlight_transfer, args=(all_devices()[0], camera), rounds=3, iterations=1
     )

@@ -1,7 +1,8 @@
 """Figure 9 (headline): simulated LCD backlight power savings.
 
-Ten clips x five quality levels on the iPAQ 5555.  Shapes that must hold
-(the paper's absolute numbers depend on its exact MPEG content):
+Ten clips x five quality levels on the iPAQ 5555, from
+:func:`repro.experiments.figure9`.  Shapes that must hold (the paper's
+absolute numbers depend on its exact MPEG content):
 
 * savings grow monotonically with the quality level for every clip;
 * dark-scene clips reach ~50-75 % at 20 % quality ("up to 65 % ... or
@@ -10,54 +11,40 @@ Ten clips x five quality levels on the iPAQ 5555.  Shapes that must hold
   performers, with ice_age near zero.
 """
 
-import numpy as np
-import pytest
-
-from repro.core import QUALITY_LEVELS, SchemeParameters, quality_label, sweep_quality_levels
-from repro.video import PAPER_CLIP_NAMES
+from repro import experiments
+from repro.core import AnnotationPipeline, SchemeParameters
+from repro.video import PAPER_CLIP_NAMES, make_clip
 
 
-@pytest.fixture(scope="module")
-def savings_table(library, device):
-    params = SchemeParameters()
-    table = {}
-    for clip in library:
-        streams = sweep_quality_levels(clip, device, QUALITY_LEVELS, params=params)
-        table[clip.name] = [s.predicted_backlight_savings() for s in streams]
-    return table
+def test_fig9_backlight_savings(benchmark, report, device):
+    fig9 = experiments.figure9(device)
+    rows = fig9.rows
+    best_name, best = fig9.best_clip()
+    report("fig9_backlight_savings", [
+        fig9.format(),
+        "",
+        f"best clip at 20% quality: {best_name} ({best:.1%})",
+    ])
 
-
-def test_fig9_backlight_savings(benchmark, report, savings_table, library, device):
-    lines = [
-        f"{'clip':<22}" + "".join(f"{quality_label(q):>8}" for q in QUALITY_LEVELS)
-    ]
-    for name in PAPER_CLIP_NAMES:
-        row = savings_table[name]
-        lines.append(f"{name:<22}" + "".join(f"{v:>8.1%}" for v in row))
-    best = max(savings_table.items(), key=lambda kv: kv[1][-1])
-    lines.append("")
-    lines.append(f"best clip at 20% quality: {best[0]} ({best[1][-1]:.1%})")
-    report("fig9_backlight_savings", lines)
-
-    for name, row in savings_table.items():
+    for name, row in rows.items():
         # monotone in quality
         assert all(b >= a - 1e-9 for a, b in zip(row, row[1:])), name
         assert all(0.0 <= v < 1.0 for v in row), name
 
     # headline magnitude: the best clip saves >= 60 % at 20 % quality
-    assert best[1][-1] >= 0.60
+    assert best >= 0.60
 
     # the two bright clips are the two worst at every lossy level
-    for qi in range(1, len(QUALITY_LEVELS)):
-        ranked = sorted(PAPER_CLIP_NAMES, key=lambda n: savings_table[n][qi])
+    for qi in range(1, len(fig9.qualities)):
+        ranked = sorted(PAPER_CLIP_NAMES, key=lambda n: rows[n][qi])
         assert set(ranked[:2]) == {"hunter_subres", "ice_age"}, ranked[:2]
 
     # ice_age saves almost nothing even at 20 %
-    assert savings_table["ice_age"][-1] < 0.15
+    assert rows["ice_age"][-1] < 0.15
 
     # benchmark one full annotate-and-bind of a mid-size clip
-    from repro.core import AnnotationPipeline
-    clip = library[1]
+    clip = make_clip(PAPER_CLIP_NAMES[1], resolution=experiments.DEFAULT_RESOLUTION,
+                     duration_scale=experiments.DEFAULT_DURATION_SCALE)
     pipeline = AnnotationPipeline(SchemeParameters(quality=0.10))
     benchmark.pedantic(
         pipeline.annotate_for_device, args=(clip, device), rounds=3, iterations=1

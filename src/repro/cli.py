@@ -592,18 +592,15 @@ def cmd_fetch(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     """Camera characterization of a device (Figures 7/8)."""
-    from .camera import DigitalCamera, SRGBLikeResponse
-    from .display import measure_backlight_transfer, measure_white_transfer, fit_white_gamma
+    from . import experiments
 
     device = get_device(args.device)
-    camera = DigitalCamera(response=SRGBLikeResponse(), noise_sigma=0.002, seed=7)
-    transfer = measure_backlight_transfer(device, camera)
+    fig7 = experiments.figure7(devices=[device])
     print(f"{args.device}: measured backlight transfer (Figure 7)")
-    for level in list(range(0, 256, 32)) + [255]:
-        lum = float(transfer.luminance(level))
+    for level, lum in zip(fig7.levels, fig7.curves[device.name]):
         print(f"  {level:>3} {viz.bar(lum)} {lum:.3f}")
-    samples = measure_white_transfer(device, camera)
-    print(f"white-transfer gamma (Figure 8 fit): {fit_white_gamma(samples):.3f}")
+    gamma = experiments.figure8(device).fitted_gamma
+    print(f"white-transfer gamma (Figure 8 fit): {gamma:.3f}")
     return 0
 
 

@@ -220,15 +220,22 @@ class ProfileCache:
             return value
 
     def put(self, key: Hashable, value: Any) -> None:
-        """Retain a profile, evicting the least-recently-used to fit."""
+        """Retain a profile, evicting the least-recently-used to fit.
+
+        A new key makes room before it goes in, so the store never holds
+        more than ``max_entries``, even to a reader that counts it
+        without the lock.
+        """
         if self.max_entries == 0:
             return
         with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            else:
+                while len(self._entries) >= self.max_entries:
+                    self._entries.popitem(last=False)
+                    self._eviction_counter.inc()
             self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self._eviction_counter.inc()
             self._entries_gauge.set(len(self._entries))
 
     def get_or_compute(

@@ -109,17 +109,21 @@ def measure_white_transfer(
 def fit_white_gamma(samples: Sequence[SweepSample]) -> float:
     """Least-squares gamma fit of a white-level sweep.
 
-    Fits ``brightness = peak * (level/255) ** gamma`` in log space over the
-    non-dark samples and returns the estimated gamma ("almost linear" shows
-    up as a value near 1.0 for the iPAQ 5555).
+    Fits ``brightness = peak * (level/top) ** gamma`` in log space over the
+    non-dark samples, where ``top`` is the highest sampled level and
+    ``peak`` its brightness, and returns the estimated gamma ("almost
+    linear" shows up as a value near 1.0 for the iPAQ 5555).  Both axes
+    are normalized at the same sample, so a sweep that stops short of 255
+    fits the same gamma as a full one.
     """
     levels = np.array([s.level for s in samples], dtype=np.float64)
     brightness = np.array([s.measured_brightness for s in samples], dtype=np.float64)
     mask = (levels > 0) & (brightness > 0)
     if mask.sum() < 2:
         raise ValueError("not enough usable samples to fit a gamma")
-    x = np.log(levels[mask] / 255.0)
-    peak = brightness[levels == levels.max()]
+    top = levels.max()
+    x = np.log(levels[mask] / top)
+    peak = brightness[levels == top]
     y = np.log(brightness[mask] / float(peak[-1]))
     # Slope of y = gamma * x through the origin.
     gamma = float(np.dot(x, y) / np.dot(x, x))

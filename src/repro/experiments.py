@@ -1,8 +1,12 @@
-"""Programmatic reproduction API: every paper experiment as a function.
+"""The paper's evaluation, one function per figure: the only code that
+computes one.
 
-The benchmarks under ``benchmarks/`` regenerate the paper's tables inside
-pytest; this module exposes the same experiments as plain library calls so
-downstream users can rerun them at any scale, from notebooks or scripts:
+``figure6`` … ``figure10`` and ``backlight_share`` build every table and
+series the paper reports.  The paper-shape benchmarks under
+``benchmarks/`` call them and write their ``format()`` output to
+``benchmarks/results/``, and ``repro report`` and ``repro calibrate``
+print them; none of those recomputes a figure.  Run at any scale from
+notebooks or scripts:
 
     from repro import experiments
     fig9 = experiments.figure9(duration_scale=0.5)
@@ -33,7 +37,7 @@ from .display import (
     ipaq_5555,
     measure_backlight_transfer,
 )
-from .player import DecoderModel, PlaybackEngine
+from .player import DecoderModel, PlaybackEngine, PlaybackResult
 from .power import PLAYBACK_ACTIVITY, DevicePowerModel
 from .video import PAPER_CLIP_NAMES, paper_library
 
@@ -111,21 +115,28 @@ def figure10(
         device, decoder=DecoderModel(reference_pixels=reference_pixels)
     )
     rows: Dict[str, List[float]] = {}
-    run_id = 0
     for clip in paper_library(resolution=resolution, duration_scale=duration_scale,
                               names=names):
-        row = []
         streams = sweep_quality_levels(clip, device, qualities, params=params)
-        for stream in streams:
-            result = engine.play(stream)
-            measured = result.measure(run_id=2 * run_id).savings_vs(
-                result.measure_baseline(run_id=2 * run_id + 1)
-            )
-            row.append(measured)
-            run_id += 1
-        rows[clip.name] = row
+        rows[clip.name] = [
+            measured_savings(engine.play(stream), run)
+            for run, stream in enumerate(streams)
+        ]
     return SavingsTable(kind="total-device", device_name=device.name,
                         qualities=tuple(qualities), rows=rows)
+
+
+def measured_savings(result: PlaybackResult, run: int) -> float:
+    """DAQ-measured whole-device savings of one playback (Figure 10).
+
+    Run ``run`` samples the playback with DAQ seed ``2 * run`` and its
+    full-backlight reference with ``2 * run + 1``.  Figure 10 numbers a
+    clip's runs by quality index, restarting for each clip, so a clip's
+    row does not depend on which clips were measured before it.
+    """
+    return result.measure(run_id=2 * run).savings_vs(
+        result.measure_baseline(run_id=2 * run + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +187,7 @@ def figure6(
     clip = make_clip(clip_name, resolution=resolution, duration_scale=duration_scale)
     pipeline = AnnotationPipeline(params)
     profile = pipeline.profile(clip)
-    stream = pipeline.build_stream(clip, device)
+    stream = pipeline.build_stream(clip, device, profile=profile)
     return SceneTrace(
         clip_name=clip_name,
         times_s=clip.timestamps(),
@@ -248,7 +259,8 @@ class WhiteSweep:
         for level, full, half in zip(self.gray_levels, self.brightness_at_full,
                                      self.brightness_at_half):
             lines.append(f"{level:>5} {full:>17.3f} {half:>17.3f}")
-        lines.append(f"fitted white gamma: {self.fitted_gamma:.3f}")
+        lines.append("")
+        lines.append(f"fitted white gamma (bl=255): {self.fitted_gamma:.3f}  (1.0 = linear)")
         return "\n".join(lines)
 
 
@@ -315,15 +327,3 @@ def backlight_share() -> PowerBreakdown:
         row["total"] = float(model.total_power(PLAYBACK_ACTIVITY, 255))
         rows[dev.name] = row
     return PowerBreakdown(rows=rows)
-
-
-def run_all(duration_scale: float = DEFAULT_DURATION_SCALE) -> Dict[str, object]:
-    """Run the full reproduction sweep; returns {experiment: result}."""
-    return {
-        "figure6": figure6(duration_scale=duration_scale),
-        "figure7": figure7(),
-        "figure8": figure8(),
-        "figure9": figure9(duration_scale=duration_scale),
-        "figure10": figure10(duration_scale=duration_scale),
-        "backlight_share": backlight_share(),
-    }

@@ -3,8 +3,8 @@
 The paper's client runs "a video player (from Berkeley MPEG tools)" on a
 400 MHz XScale.  For power purposes all that matters is how busy the
 decoder keeps the CPU; this model estimates per-frame decode time from
-frame size and content complexity, yielding the CPU duty cycle the power
-model consumes.  It deliberately stops short of bitstream-level detail —
+frame size and content complexity; the playback loop divides it by the
+frame period to get the CPU duty cycle the power model consumes.  It deliberately stops short of bitstream-level detail —
 the annotation technique is independent of the codec.
 """
 
@@ -72,13 +72,3 @@ class DecoderModel:
         )
         pixels = self.reference_pixels if self.reference_pixels else frame.pixel_count
         return pixels * per_pixel / self.cpu_hz
-
-    def cpu_load(self, frame: Frame, frame_period_s: float) -> float:
-        """CPU duty cycle while playing at the given frame period, 0-1."""
-        if frame_period_s <= 0:
-            raise ValueError("frame period must be positive")
-        return min(self.decode_time_s(frame) / frame_period_s, 1.0)
-
-    def can_sustain(self, frame: Frame, fps: float) -> bool:
-        """Whether real-time decode is feasible at ``fps``."""
-        return self.decode_time_s(frame) <= 1.0 / fps

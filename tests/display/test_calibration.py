@@ -88,6 +88,16 @@ class TestFitWhiteGamma:
         samples = measure_white_transfer(device, camera)
         assert fit_white_gamma(samples) == pytest.approx(1.1, abs=0.12)
 
+    @pytest.mark.parametrize("gamma", [0.8, 1.2])
+    def test_sweep_short_of_255_fits_exact_power_law(self, gamma):
+        """A sweep that stops at 224 is normalized at 224 on both axes,
+        so an exact power law fits its own gamma."""
+        from repro.display.calibration import SweepSample
+        samples = [SweepSample(level, 0.9 * (level / 255) ** gamma)
+                   for level in range(0, 256, 32)]
+        assert samples[-1].level == 224
+        assert fit_white_gamma(samples) == pytest.approx(gamma, abs=1e-9)
+
     def test_too_few_samples(self):
         from repro.display.calibration import SweepSample
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import AnnotationPipeline, SchemeParameters
 from repro.display import MAX_BACKLIGHT_LEVEL, ipaq_5555, ipaq_3650
-from repro.player import PlaybackEngine
+from repro.player import DecoderModel, PlaybackEngine
 
 
 @pytest.fixture
@@ -31,6 +31,14 @@ class TestPlay:
         assert result.cpu_loads.shape == (n,)
         assert result.per_frame_power_w.shape == (n,)
         assert result.duration_s == pytest.approx(n / 30.0)
+
+    def test_cpu_loads_bounded(self, engine, stream):
+        loads = engine.play(stream).cpu_loads
+        assert np.all((loads > 0.0) & (loads <= 1.0))
+
+    def test_cpu_loads_saturate_on_a_hopeless_cpu(self, device, stream):
+        result = PlaybackEngine(device, decoder=DecoderModel(cpu_hz=1e6)).play(stream)
+        assert np.all(result.cpu_loads == 1.0)
 
     def test_levels_follow_annotations(self, engine, stream):
         result = engine.play(stream)

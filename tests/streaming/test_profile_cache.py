@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,29 @@ class TestProfileCacheUnit:
         assert cache.get("b") is None  # b was least recently used
         assert cache.get("a") == 1
         assert cache.get("c") == 3
+
+    def test_never_holds_more_than_its_bound(self):
+        """A new key evicts before it goes in, so a reader that counts the
+        store without the lock never sees ``max_entries + 1``."""
+        seen = []
+
+        class RecordingEntries(OrderedDict):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                seen.append(len(self))
+
+        cache = ProfileCache(max_entries=3)
+        cache._entries = RecordingEntries()
+        for i in range(10):
+            cache.put(i, i)
+        cache.put(9, "again")  # a present key replaces in place
+        assert max(seen) == cache.max_entries
+        assert len(cache) == 3 and cache.evictions == 7
+        assert cache.get(9) == "again" and cache.get(6) is None
+        assert cache._entries_gauge.value == 3
+        assert "entries=3/3" in repr(cache)
+        cache.clear()
+        assert len(cache) == 0 and cache._entries_gauge.value == 0
 
     def test_zero_entries_disables(self):
         cache = ProfileCache(max_entries=0)

@@ -201,3 +201,45 @@ def test_network_figures_quoted_from_bench_network():
     assert quoted.groups() == (
         sessions(chunked), sessions(perframe), ttff_ms(chunked), ttff_ms(perframe),
     )
+
+
+def _result(name):
+    return (REPO_ROOT / "benchmarks" / "results" / name).read_text()
+
+
+def test_paper_figures_quoted_from_results():
+    """Doc-number drift gate: EXPERIMENTS.md's Figure 9 table, Figure 8
+    gamma and Figure 10 peak and ``ice_age`` figures are the ones the
+    committed ``benchmarks/results/*.txt`` files record."""
+    experiments = " ".join((REPO_ROOT / "EXPERIMENTS.md").read_text().split())
+    fig9_section = experiments.split("## Figure 9", 1)[1].split("## Figure 10", 1)[0]
+
+    fig9 = {}
+    for line in _result("fig9_backlight_savings.txt").splitlines()[1:]:
+        if not line.strip():
+            break
+        name, *values = line.split()
+        fig9[name] = [v.rstrip("%") for v in values]
+    quoted = {
+        name: values.split(" | ")
+        for name, values in re.findall(
+            r"\| ([\w-]+) \| ((?:[\d.]+ \| ){4}[\d.]+) \|", fig9_section
+        )
+    }
+    assert quoted == fig9
+
+    gamma = re.search(r"fitted white gamma \(bl=255\): ([\d.]+)",
+                      _result("fig8_white_transfer.txt"))
+    quoted = re.search(r"fitted white gamma ([\d.]+) at backlight 255", experiments)
+    assert gamma and quoted, "Figure 8 gamma missing"
+    assert quoted.group(1) == gamma.group(1)
+
+    fig10 = _result("fig10_total_savings.txt")
+    peak = re.search(r"peak total-device savings at 20% quality: ([\d.]+)%", fig10)
+    ice_age = re.search(r"ice_age at 20% quality: ([\d.]+)%", fig10)
+    quoted = re.search(
+        r"\(`fig10_total_savings.txt`\): peak ([\d.]+) % at 20 % quality .*? "
+        r"`ice_age` ([\d.]+) %;", experiments
+    )
+    assert peak and ice_age and quoted, "Figure 10 peak / ice_age missing"
+    assert quoted.groups() == (peak.group(1), ice_age.group(1))

@@ -38,6 +38,12 @@ class TestFigure10:
         assert all(-0.05 <= v <= 0.5 for v in row)
         assert row[-1] > row[0]
 
+    def test_row_independent_of_earlier_clips(self):
+        """DAQ runs are numbered by quality index within each clip."""
+        pair = experiments.figure10(names=("catwoman", "ice_age"), **FAST)
+        alone = experiments.figure10(names=("ice_age",), **FAST)
+        assert pair.rows["ice_age"] == alone.rows["ice_age"]
+
     def test_kind_label(self):
         fig10 = experiments.figure10(names=("ice_age",), qualities=(0.0,), **FAST)
         assert fig10.kind == "total-device"
